@@ -330,9 +330,12 @@ pub fn parse_fault_plan(text: &str) -> Result<snsp_serve::FaultSpec, String> {
             .ok_or_else(|| format!("--fault-plan entry {part:?} is not key=value"))?;
         let nums: Vec<f64> = value
             .split(':')
-            .map(|v| {
-                v.parse::<f64>()
-                    .map_err(|_| format!("--fault-plan {key}: {v:?} is not a number"))
+            .map(|v| match v.parse::<f64>() {
+                Ok(x) if x.is_finite() && x >= 0.0 => Ok(x),
+                Ok(_) => Err(format!(
+                    "--fault-plan {key}: {v:?} must be a finite, non-negative number"
+                )),
+                Err(_) => Err(format!("--fault-plan {key}: {v:?} is not a number")),
             })
             .collect::<Result<_, _>>()?;
         let arity = |n: usize| -> Result<(), String> {
@@ -1080,6 +1083,20 @@ mod tests {
         assert!(parse_fault_plan("crash=x").is_err(), "not a number");
         assert!(parse_fault_plan("rack=0.1").is_err(), "wrong arity");
         assert!(parse_fault_plan("warp=9").is_err(), "unknown key");
+    }
+
+    #[test]
+    fn fault_plan_rejects_non_finite_and_negative_numbers() {
+        // An infinite rate would make every Poisson gap zero and the
+        // schedule endless; a negative one is meaningless.
+        for bad in ["crash=inf", "rack=inf:2", "tick=nan", "drop=-1"] {
+            let err = parse_fault_plan(bad).expect_err(bad);
+            assert!(err.contains("finite, non-negative"), "{bad}: {err}");
+        }
+        assert!(
+            parse_fault_plan("crash=0,tick=0.5").is_ok(),
+            "zero stays valid"
+        );
     }
 
     #[test]

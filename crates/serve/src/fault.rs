@@ -325,9 +325,12 @@ impl FaultPlan {
     /// **not** an input, so the same seed produces the same global
     /// schedule at every shard count (pinned by the shard-count
     /// independence tests).
+    ///
+    /// Non-finite rates and periods schedule nothing: an infinite rate
+    /// would draw zero-length gaps forever.
     pub fn instantiate(spec: &FaultSpec, horizon: f64) -> FaultPlan {
         let mut events: Vec<(f64, u8, FaultKind)> = Vec::new();
-        if spec.crash_rate > 0.0 {
+        if spec.crash_rate > 0.0 && spec.crash_rate.is_finite() {
             let mut rng = StdRng::seed_from_u64(spec.seed ^ CRASH_STREAM);
             let mut t = 0.0;
             loop {
@@ -344,7 +347,7 @@ impl FaultPlan {
                 ));
             }
         }
-        if spec.rack_rate > 0.0 && spec.rack_size > 0 {
+        if spec.rack_rate > 0.0 && spec.rack_rate.is_finite() && spec.rack_size > 0 {
             let mut rng = StdRng::seed_from_u64(spec.seed ^ RACK_STREAM);
             let mut t = 0.0;
             loop {
@@ -364,14 +367,14 @@ impl FaultPlan {
                 events.push((end.min(horizon), 4, FaultKind::CapacityRestore));
             }
         }
-        if spec.tick_every > 0.0 {
+        if spec.tick_every > 0.0 && spec.tick_every.is_finite() {
             let mut t = spec.tick_every;
             while t < horizon {
                 events.push((t, 0, FaultKind::Barrier));
                 t += spec.tick_every;
             }
         }
-        events.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+        events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         FaultPlan {
             spec: *spec,
             events: events
@@ -479,7 +482,8 @@ impl ChaosReport {
 /// Checks every platform invariant across the sharded tier: each
 /// shard's [`LivePlatform::audit`] (live-slot assignments, no leaked
 /// machines, download-ledger conservation,
-/// [`verify_joint`](snsp_core::multi::verify_joint)) plus the
+/// [`verify_joint`](snsp_core::multi::verify_joint), resident index
+/// equal to a from-scratch walk) plus the
 /// cross-shard invariants — every resident lives on its *home* shard
 /// (the routing hash) and no tenant is resident on two shards. The
 /// chaos replay runs this after every injected fault.
@@ -718,8 +722,7 @@ impl<'a> ChaosEngine<'a> {
         }
         msgs.sort_by(|a, b| {
             a.time
-                .partial_cmp(&b.time)
-                .unwrap()
+                .total_cmp(&b.time)
                 .then(a.shard.cmp(&b.shard))
                 .then(a.seq.cmp(&b.seq))
         });
@@ -878,12 +881,7 @@ impl<'a> ChaosEngine<'a> {
         }
         let policy = self.plan.spec.retry;
         let mut entries = std::mem::take(&mut self.retry);
-        entries.sort_by(|a, b| {
-            a.next
-                .partial_cmp(&b.next)
-                .unwrap()
-                .then(a.tenant.0.cmp(&b.tenant.0))
-        });
+        entries.sort_by(|a, b| a.next.total_cmp(&b.next).then(a.tenant.0.cmp(&b.tenant.0)));
         for e in entries {
             if e.next > t {
                 self.retry.push(e);
@@ -1750,6 +1748,19 @@ mod tests {
             &TraceParams::poisson(0.6, 4.0, 25.0).with_failures(0.08),
             seed,
         )
+    }
+
+    #[test]
+    fn non_finite_rates_schedule_nothing_instead_of_hanging() {
+        // An infinite rate draws zero-length gaps: without the guard the
+        // schedule would never pass the horizon.
+        let spec = FaultSpec::seeded(3)
+            .with_crashes(f64::INFINITY)
+            .with_racks(f64::INFINITY, 2)
+            .with_ticks(f64::NAN);
+        assert!(FaultPlan::instantiate(&spec, 25.0).events.is_empty());
+        let finite = FaultPlan::instantiate(&spec.with_crashes(0.2), 25.0);
+        assert!(finite.crash_count() > 0, "finite streams still draw");
     }
 
     #[test]

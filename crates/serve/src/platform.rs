@@ -20,6 +20,7 @@
 //! verification ([`verify_joint`]) and
 //! engine spot-runs.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use rand::rngs::StdRng;
@@ -125,6 +126,13 @@ pub struct FailOutcome {
 /// loop.
 pub const DEFAULT_DEPART_EVALS: u64 = 256;
 
+/// The operators each tenant keeps on one slot: tenant id → ops,
+/// ascending on both levels.
+type Residents = BTreeMap<u32, Vec<OpId>>;
+
+/// The residents of a slot the index has never grown to.
+static NO_RESIDENTS: Residents = BTreeMap::new();
+
 /// The mutable state of one online serving run.
 #[derive(Debug, Clone)]
 pub struct LivePlatform {
@@ -133,6 +141,13 @@ pub struct LivePlatform {
     /// Catalog kind per slot; `None` = sold or failed (tombstone).
     slots: Vec<Option<usize>>,
     tenants: BTreeMap<u32, Tenant>,
+    /// Resident index: per slot, each tenant's operators on it, ascending
+    /// tenant id and, within a tenant, ascending op id (tree order) —
+    /// exactly what a walk of every tenant's `assignment` would find, so
+    /// fit tests and departure steps touch only the slot's own
+    /// operators. Written only by [`place_ops`](Self::place_ops);
+    /// [`audit`](Self::audit) checks it against a from-scratch walk.
+    blocks: Vec<Residents>,
     ledger: DownloadLedger,
     /// When set (by a capacity revocation), no new machine may be
     /// bought: admissions and failure re-maps must make do with the
@@ -149,6 +164,7 @@ impl LivePlatform {
             platform,
             slots: Vec::new(),
             tenants: BTreeMap::new(),
+            blocks: Vec::new(),
             ledger,
             frozen: false,
         }
@@ -247,29 +263,87 @@ impl LivePlatform {
         (used, speed)
     }
 
+    /// Operators each tenant keeps on slot `u` (the index entry).
+    fn residents(&self, u: usize) -> &Residents {
+        self.blocks.get(u).unwrap_or(&NO_RESIDENTS)
+    }
+
     /// Operators each tenant keeps on slot `u`, ascending tenant id.
     fn blocks_on(&self, u: usize) -> Vec<(u32, Vec<OpId>)> {
-        let mut out = Vec::new();
+        self.residents(u)
+            .iter()
+            .map(|(&tid, ops)| (tid, ops.clone()))
+            .collect()
+    }
+
+    /// The resident index rebuilt by walking every tenant's assignment:
+    /// the reference [`audit`](Self::audit) holds `blocks` to.
+    fn index_from_scratch(&self) -> Vec<Residents> {
+        let mut index: Vec<Residents> = vec![Residents::new(); self.slots.len()];
         for (&tid, t) in &self.tenants {
-            let ops: Vec<OpId> = t
-                .inst
-                .tree
-                .ops()
-                .filter(|&op| t.assignment[op.index()].index() == u)
-                .collect();
-            if !ops.is_empty() {
-                out.push((tid, ops));
+            for op in t.inst.tree.ops() {
+                let u = t.assignment[op.index()].index();
+                if u >= index.len() {
+                    index.resize_with(u + 1, Residents::new);
+                }
+                index[u].entry(tid).or_default().push(op);
             }
         }
-        out
+        index
+    }
+
+    /// Moves operators `ops` of resident tenant `tid` onto slot `to`, or
+    /// off the platform when `to` is `None`. The only code that writes
+    /// `Tenant::assignment` or the resident index, so the two stay in
+    /// step.
+    fn place_ops(&mut self, tid: u32, ops: &[OpId], to: Option<usize>) {
+        let t = self.tenants.get_mut(&tid).expect("placing a resident");
+        for &op in ops {
+            let from = t.assignment[op.index()].index();
+            if let Some(here) = self.blocks.get_mut(from) {
+                if let Some(list) = here.get_mut(&tid) {
+                    if let Ok(i) = list.binary_search(&op) {
+                        list.remove(i);
+                    }
+                    if list.is_empty() {
+                        here.remove(&tid);
+                    }
+                }
+            }
+            let Some(v) = to else {
+                t.assignment[op.index()] = ProcId(u32::MAX);
+                continue;
+            };
+            t.assignment[op.index()] = ProcId::from(v);
+            if v >= self.blocks.len() {
+                self.blocks.resize_with(v + 1, Residents::new);
+            }
+            let list = self.blocks[v].entry(tid).or_default();
+            if let Err(i) = list.binary_search(&op) {
+                list.insert(i, op);
+            }
+        }
+    }
+
+    /// Takes tenant `tid` off the platform and returns the slots it
+    /// occupied, ascending (`None` if it was not resident).
+    fn remove_tenant(&mut self, tid: u32) -> Option<Vec<usize>> {
+        let t = self.tenants.get(&tid)?;
+        let mut touched: Vec<usize> = t.assignment.iter().map(|p| p.index()).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let all: Vec<OpId> = t.inst.tree.ops().collect();
+        self.place_ops(tid, &all, None);
+        self.tenants.remove(&tid);
+        Some(touched)
     }
 
     /// Object types the residents of slot `u` stream, sorted ascending.
     fn slot_types(&self, u: usize) -> Vec<TypeId> {
         let mut types: Vec<TypeId> = Vec::new();
-        for (tid, ops) in self.blocks_on(u) {
-            let t = &self.tenants[&tid];
-            for &op in &ops {
+        for (tid, ops) in self.residents(u) {
+            let t = &self.tenants[tid];
+            for &op in ops {
                 types.extend(t.inst.tree.leaf_types(op).iter().copied());
             }
         }
@@ -329,14 +403,15 @@ impl LivePlatform {
     /// [`extend_demand`](Self::extend_demand) with the base computed
     /// here once per admission.
     fn slot_demand(&self, u: usize) -> SharedDemand {
-        let resident = self.blocks_on(u);
-        let mut members: Vec<(&Instance, &[OpId])> = Vec::new();
-        for (tid, ops) in &resident {
-            members.push((&self.tenants[tid].inst, ops.as_slice()));
-        }
-        shared_demand(&members, |m, op| {
-            let t = &self.tenants[&resident[m].0];
-            t.assignment[op.index()].index() == u
+        let members: Vec<(&Tenant, &[OpId])> = self
+            .residents(u)
+            .iter()
+            .map(|(tid, ops)| (&self.tenants[tid], ops.as_slice()))
+            .collect();
+        let views: Vec<(&Instance, &[OpId])> =
+            members.iter().map(|&(t, ops)| (&t.inst, ops)).collect();
+        shared_demand(&views, |m, op| {
+            members[m].0.assignment[op.index()].index() == u
         })
     }
 
@@ -497,14 +572,24 @@ impl LivePlatform {
         // Commit.
         self.slots = slots;
         self.ledger = ledger;
+        let unplaced = vec![ProcId(u32::MAX); inst.tree.len()];
+        let ops: Vec<OpId> = inst.tree.ops().collect();
         self.tenants.insert(
             id.0,
             Tenant {
                 id,
                 inst,
-                assignment,
+                assignment: unplaced,
             },
         );
+        for &u in &touched {
+            let on_u: Vec<OpId> = ops
+                .iter()
+                .copied()
+                .filter(|op| assignment[op.index()].index() == u)
+                .collect();
+            self.place_ops(id.0, &on_u, Some(u));
+        }
         self.downgrade_all();
         Ok(AdmitOutcome {
             new_procs: bought.len(),
@@ -535,12 +620,9 @@ impl LivePlatform {
     /// strictly drops), the serving-layer instance of `snsp-search`'s
     /// anytime contract.
     pub fn depart_budgeted(&mut self, id: TenantId, budget: &mut snsp_search::Budget) -> bool {
-        let Some(t) = self.tenants.remove(&id.0) else {
+        let Some(touched) = self.remove_tenant(id.0) else {
             return false;
         };
-        let mut touched: Vec<usize> = t.assignment.iter().map(|p| p.index()).collect();
-        touched.sort_unstable();
-        touched.dedup();
         for &u in &touched {
             self.prune_downloads(u);
         }
@@ -635,7 +717,6 @@ impl LivePlatform {
     /// dead slot `dead`): first-fit over live slots, then a fresh
     /// purchase. Commits assignment + downloads on success.
     fn replace_block(&mut self, tid: u32, ops: &[OpId], dead: usize) -> bool {
-        let in_block: BTreeSet<usize> = ops.iter().map(|op| op.index()).collect();
         let candidates: Vec<usize> = self.live_slots();
         let no_overlay = BTreeMap::new();
         for u in candidates {
@@ -643,7 +724,7 @@ impl LivePlatform {
             // empty overlay: the block lands on `u` by hypothesis, so its
             // edges to the tenant's ops already resident on `u` are free,
             // and the tenant appears as one member, never two.
-            let d = self.evacuation_demand(u, dead, &no_overlay, &tid, ops, &in_block);
+            let d = self.evacuation_demand(u, dead, &no_overlay, tid, ops);
             let Some(kind) = self.kind_fitting(&d) else {
                 continue;
             };
@@ -662,10 +743,7 @@ impl LivePlatform {
             }
             self.ledger = ledger;
             self.slots[u] = Some(kind);
-            let t = self.tenants.get_mut(&tid).unwrap();
-            for &op in ops {
-                t.assignment[op.index()] = ProcId::from(u);
-            }
+            self.place_ops(tid, ops, Some(u));
             return true;
         }
         // Buy a replacement machine (unless purchases are frozen by a
@@ -675,7 +753,7 @@ impl LivePlatform {
             return false;
         }
         let t = &self.tenants[&tid];
-        let d = shared_demand(&[(&t.inst, ops)], |_, op| in_block.contains(&op.index()));
+        let d = shared_demand(&[(&t.inst, ops)], |_, op| ops.binary_search(&op).is_ok());
         let Some(kind) = self.kind_fitting(&d) else {
             return false;
         };
@@ -688,21 +766,15 @@ impl LivePlatform {
         }
         self.ledger = ledger;
         self.slots.push(Some(kind));
-        let t = self.tenants.get_mut(&tid).unwrap();
-        for &op in ops {
-            t.assignment[op.index()] = ProcId::from(u);
-        }
+        self.place_ops(tid, ops, Some(u));
         true
     }
 
     /// Removes a tenant without ceremony (used by eviction).
     fn evict(&mut self, tid: u32) {
-        let Some(t) = self.tenants.remove(&tid) else {
+        let Some(touched) = self.remove_tenant(tid) else {
             return;
         };
-        let mut touched: Vec<usize> = t.assignment.iter().map(|p| p.index()).collect();
-        touched.sort_unstable();
-        touched.dedup();
         for &u in &touched {
             if self.slots[u].is_some() {
                 self.prune_downloads(u);
@@ -714,15 +786,9 @@ impl LivePlatform {
     /// Drops every download stream on `u` that no resident tenant still
     /// needs.
     fn prune_downloads(&mut self, u: usize) {
-        let mut needed: BTreeSet<TypeId> = BTreeSet::new();
-        for (tid, ops) in self.blocks_on(u) {
-            let t = &self.tenants[&tid];
-            for &op in &ops {
-                needed.extend(t.inst.tree.leaf_types(op).iter().copied());
-            }
-        }
+        let needed = self.slot_types(u);
         for d in self.ledger.downloads_of(ProcId::from(u)) {
-            if !needed.contains(&d.ty) {
+            if needed.binary_search(&d.ty).is_err() {
                 self.ledger.release(self.objects.rate(d.ty), d.proc, d.ty);
             }
         }
@@ -730,12 +796,8 @@ impl LivePlatform {
 
     /// Sells every live slot hosting no operators.
     fn sell_empty_slots(&mut self) {
-        let mut occupied: BTreeSet<usize> = BTreeSet::new();
-        for t in self.tenants.values() {
-            occupied.extend(t.assignment.iter().map(|p| p.index()));
-        }
         for u in 0..self.slots.len() {
-            if self.slots[u].is_some() && !occupied.contains(&u) {
+            if self.slots[u].is_some() && self.residents(u).is_empty() {
                 for d in self.ledger.downloads_of(ProcId::from(u)) {
                     self.ledger.release(self.objects.rate(d.ty), d.proc, d.ty);
                 }
@@ -760,13 +822,12 @@ impl LivePlatform {
         // later fit tests through the overlay.
         let mut overlay: BTreeMap<u32, usize> = BTreeMap::new();
         for (tid, ops) in &blocks {
-            let in_block: BTreeSet<usize> = ops.iter().map(|op| op.index()).collect();
             let mut dest = None;
             for (v, slot) in slots.iter().enumerate() {
                 if v == u || slot.is_none() {
                     continue;
                 }
-                let d = self.evacuation_demand(v, u, &overlay, tid, ops, &in_block);
+                let d = self.evacuation_demand(v, u, &overlay, *tid, ops);
                 if let Some(kind) = self.kind_fitting(&d) {
                     dest = Some((v, kind));
                     break;
@@ -804,69 +865,66 @@ impl LivePlatform {
         self.slots = slots;
         self.ledger = ledger;
         for (tid, ops) in &blocks {
-            let v = overlay[tid];
-            let t = self.tenants.get_mut(tid).unwrap();
-            for &op in ops {
-                t.assignment[op.index()] = ProcId::from(v);
-            }
+            self.place_ops(*tid, ops, Some(overlay[tid]));
         }
         true
     }
 
     /// Demand on candidate slot `v` during the evacuation of `u`, with
-    /// `overlay` recording blocks already re-homed.
+    /// `overlay` recording blocks already re-homed and `ops` — all of
+    /// tenant `tid`'s operators on `u` — landing on `v` by hypothesis.
+    /// Walks only `v`'s residents and the blocks arriving from `u`; the
+    /// members and their summation order (ascending tenant id, each
+    /// tenant's ops in tree order, the candidate block appended) are
+    /// those of a walk over every tenant, so the result is bit-identical.
     fn evacuation_demand(
         &self,
         v: usize,
         u: usize,
         overlay: &BTreeMap<u32, usize>,
-        tid: &u32,
+        tid: u32,
         ops: &[OpId],
-        in_block: &BTreeSet<usize>,
     ) -> SharedDemand {
-        // Effective slot of any (tenant, op) under the overlay.
-        let eff = |t: u32, op: OpId| -> usize {
-            let a = self.tenants[&t].assignment[op.index()].index();
-            if a == u {
-                overlay.get(&t).copied().unwrap_or(a)
-            } else {
-                a
-            }
-        };
-        // Members on v: residents, overlay arrivals, plus the candidate.
-        let mut members: Vec<(&Instance, Vec<OpId>)> = Vec::new();
-        let mut member_tids: Vec<u32> = Vec::new();
-        for (&t, tenant) in &self.tenants {
-            let mut on_v: Vec<OpId> = tenant
-                .inst
-                .tree
-                .ops()
-                .filter(|&op| eff(t, op) == v)
-                .collect();
-            if t == *tid {
-                on_v.retain(|op| !in_block.contains(&op.index()));
-                on_v.extend(ops.iter().copied());
-            }
-            if !on_v.is_empty() {
-                members.push((&tenant.inst, on_v));
-                member_tids.push(t);
-            }
-        }
-        // The candidate tenant may have no ops on v yet: add it.
-        if !member_tids.contains(tid) {
-            members.push((&self.tenants[tid].inst, ops.to_vec()));
-            member_tids.push(*tid);
-        }
+        let here = self.residents(v);
+        let arrives = |t: &u32| overlay.get(t) == Some(&v);
+        let mut ids: Vec<u32> = here
+            .keys()
+            .copied()
+            .chain(overlay.keys().copied().filter(arrives))
+            .chain([tid])
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let members: Vec<(u32, &Tenant, Cow<[OpId]>)> = ids
+            .into_iter()
+            .map(|t| {
+                let mut on_v = Cow::Borrowed(here.get(&t).map_or(&[][..], Vec::as_slice));
+                if arrives(&t) {
+                    let moved = self.residents(u).get(&t).map_or(&[][..], Vec::as_slice);
+                    let merged = on_v.to_mut();
+                    merged.extend_from_slice(moved);
+                    merged.sort_unstable();
+                }
+                if t == tid {
+                    on_v.to_mut().extend_from_slice(ops);
+                }
+                (t, &self.tenants[&t], on_v)
+            })
+            .collect();
         let views: Vec<(&Instance, &[OpId])> = members
             .iter()
-            .map(|(inst, ops)| (*inst, ops.as_slice()))
+            .map(|(_, t, ops)| (&t.inst, ops.as_ref()))
             .collect();
         shared_demand(&views, |m, op| {
-            let t = member_tids[m];
-            if t == *tid && in_block.contains(&op.index()) {
-                return true; // the block lands on v by hypothesis
+            let (t, tenant, _) = &members[m];
+            let a = tenant.assignment[op.index()].index();
+            if a == u {
+                // Off the evacuated slot: the candidate block lands on
+                // `v`, earlier blocks wherever the overlay sent them.
+                *t == tid || arrives(t)
+            } else {
+                a == v
             }
-            eff(t, op) == v
         })
     }
 
@@ -922,7 +980,9 @@ impl LivePlatform {
     ///    residents need;
     /// 4. the compacted snapshot passes
     ///    [`verify_joint`] (joint CPU /
-    ///    NIC / link / server feasibility).
+    ///    NIC / link / server feasibility);
+    /// 5. the per-slot resident index equals a from-scratch walk of every
+    ///    tenant's assignment (checked before 3 and 4, which read it).
     ///
     /// The chaos harness runs this after every injected fault
     /// (`audit_platform` extends it with cross-shard checks).
@@ -945,6 +1005,17 @@ impl LivePlatform {
         for u in 0..self.slots.len() {
             if self.slots[u].is_some() && !occupied.contains(&u) {
                 return Err(format!("live slot {u} hosts no operators (leaked machine)"));
+            }
+        }
+        let scratch = self.index_from_scratch();
+        for u in 0..scratch.len().max(self.blocks.len()) {
+            let want = scratch.get(u).unwrap_or(&NO_RESIDENTS);
+            if self.residents(u) != want {
+                return Err(format!(
+                    "resident index of slot {u} is {:?}, but the assignments place {:?} there",
+                    self.residents(u),
+                    want
+                ));
             }
         }
         let mut have: Vec<(usize, TypeId)> = self
@@ -1043,7 +1114,10 @@ mod tests {
     use super::*;
     use snsp_core::heuristics::SubtreeBottomUp;
     use snsp_core::multi::verify_joint;
-    use snsp_gen::{tenant_instance, trace_environment, TenantSpec, TraceParams, TreeShape};
+    use snsp_gen::{
+        generate_trace, tenant_instance, trace_environment, TenantSpec, TraceEvent, TraceParams,
+        TreeShape,
+    };
 
     fn environment(seed: u64) -> LivePlatform {
         let params = TraceParams::poisson(0.5, 5.0, 20.0);
@@ -1264,6 +1338,212 @@ mod tests {
             .ledger
             .release(broken.objects.rate(d.ty), d.proc, d.ty);
         assert!(broken.audit().is_err(), "missing stream must be caught");
+        // Corrupt the resident index: forget one operator on its slot.
+        let mut drifted = live.clone();
+        let u = drifted.live_slots()[0];
+        let (&tid, _) = drifted.blocks[u].iter().next().unwrap();
+        let list = drifted.blocks[u].get_mut(&tid).unwrap();
+        let lost = list.pop().unwrap();
+        if list.is_empty() {
+            drifted.blocks[u].remove(&tid);
+        }
+        let err = drifted.audit().expect_err("index drift must be caught");
+        assert!(err.contains("resident index"), "{err}");
+        // Or file it under the wrong slot.
+        let mut misfiled = live.clone();
+        misfiled.blocks.push(Residents::from([(tid, vec![lost])]));
+        assert!(
+            misfiled.audit().is_err(),
+            "stray index entry must be caught"
+        );
+    }
+
+    /// The from-scratch slot demand the index-driven
+    /// [`LivePlatform::slot_demand`] must reproduce bit for bit: walks
+    /// every tenant's whole tree.
+    fn slot_demand_oracle(live: &LivePlatform, u: usize) -> SharedDemand {
+        let mut resident: Vec<(u32, Vec<OpId>)> = Vec::new();
+        for (&tid, t) in &live.tenants {
+            let ops: Vec<OpId> = t
+                .inst
+                .tree
+                .ops()
+                .filter(|&op| t.assignment[op.index()].index() == u)
+                .collect();
+            if !ops.is_empty() {
+                resident.push((tid, ops));
+            }
+        }
+        let members: Vec<(&Instance, &[OpId])> = resident
+            .iter()
+            .map(|(tid, ops)| (&live.tenants[tid].inst, ops.as_slice()))
+            .collect();
+        shared_demand(&members, |m, op| {
+            live.tenants[&resident[m].0].assignment[op.index()].index() == u
+        })
+    }
+
+    /// The from-scratch evacuation demand the index-driven
+    /// [`LivePlatform::evacuation_demand`] must reproduce bit for bit:
+    /// walks every operator of every tenant under the overlay.
+    fn evacuation_demand_oracle(
+        live: &LivePlatform,
+        v: usize,
+        u: usize,
+        overlay: &BTreeMap<u32, usize>,
+        tid: u32,
+        ops: &[OpId],
+    ) -> SharedDemand {
+        let in_block: BTreeSet<usize> = ops.iter().map(|op| op.index()).collect();
+        let eff = |t: u32, op: OpId| -> usize {
+            let a = live.tenants[&t].assignment[op.index()].index();
+            if a == u {
+                overlay.get(&t).copied().unwrap_or(a)
+            } else {
+                a
+            }
+        };
+        let mut members: Vec<(&Instance, Vec<OpId>)> = Vec::new();
+        let mut member_tids: Vec<u32> = Vec::new();
+        for (&t, tenant) in &live.tenants {
+            let mut on_v: Vec<OpId> = tenant
+                .inst
+                .tree
+                .ops()
+                .filter(|&op| eff(t, op) == v)
+                .collect();
+            if t == tid {
+                on_v.retain(|op| !in_block.contains(&op.index()));
+                on_v.extend(ops.iter().copied());
+            }
+            if !on_v.is_empty() {
+                members.push((&tenant.inst, on_v));
+                member_tids.push(t);
+            }
+        }
+        let views: Vec<(&Instance, &[OpId])> = members
+            .iter()
+            .map(|(inst, ops)| (*inst, ops.as_slice()))
+            .collect();
+        shared_demand(&views, |m, op| {
+            let t = member_tids[m];
+            if t == tid && in_block.contains(&op.index()) {
+                return true;
+            }
+            eff(t, op) == v
+        })
+    }
+
+    fn assert_bits_eq(got: SharedDemand, want: SharedDemand, what: &str) {
+        let bits = |d: SharedDemand| {
+            [
+                d.work.to_bits(),
+                d.download.to_bits(),
+                d.comm.to_bits(),
+                d.max_edge.to_bits(),
+            ]
+        };
+        assert_eq!(bits(got), bits(want), "{what}: {got:?} vs {want:?}");
+    }
+
+    /// Index == from-scratch walk, and every fit-test demand the index
+    /// feeds equals its from-scratch oracle bitwise: each live slot's
+    /// demand, and each (evacuated `u`, candidate `v`) pair's demand for
+    /// every block of `u`, under an overlay that has already sent the
+    /// earlier blocks alternately to `v` and elsewhere.
+    fn assert_index_matches_oracle(live: &LivePlatform, ctx: &str) {
+        let scratch = live.index_from_scratch();
+        for u in 0..scratch.len().max(live.blocks.len()) {
+            assert_eq!(
+                live.residents(u),
+                scratch.get(u).unwrap_or(&NO_RESIDENTS),
+                "{ctx}: index of slot {u}"
+            );
+        }
+        let slots = live.live_slots();
+        for &u in &slots {
+            assert_bits_eq(
+                live.slot_demand(u),
+                slot_demand_oracle(live, u),
+                &format!("{ctx}: slot_demand({u})"),
+            );
+            for &v in slots.iter().filter(|&&v| v != u) {
+                let elsewhere = slots.iter().copied().find(|&w| w != u && w != v);
+                let mut overlay: BTreeMap<u32, usize> = BTreeMap::new();
+                for (k, (tid, ops)) in live.blocks_on(u).into_iter().enumerate() {
+                    assert_bits_eq(
+                        live.evacuation_demand(v, u, &overlay, tid, &ops),
+                        evacuation_demand_oracle(live, v, u, &overlay, tid, &ops),
+                        &format!("{ctx}: evacuation_demand(v={v}, u={u}, tenant {tid})"),
+                    );
+                    let dest = if k % 2 == 0 { Some(v) } else { elsewhere };
+                    overlay.insert(tid, dest.unwrap_or(v));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resident_index_matches_the_from_scratch_oracle_under_random_mutations() {
+        use rand::Rng;
+        for seed in 0..3u64 {
+            let mut rng = StdRng::seed_from_u64(0x1DE5 + seed);
+            // Tenants and environment of a packing-style trace: 16–30
+            // ops at ρ 10–20 span several processors, so slots host many
+            // residents' blocks and tenants keep blocks on several slots.
+            let params = TraceParams::heavy(40.0, 0.5, 14.0)
+                .with_tenant_ops(16, 30)
+                .with_tenant_rho(10.0, 20.0);
+            let trace = generate_trace(&params, 30 + seed);
+            let (objects, platform) = trace_environment(&trace.params, trace.seed);
+            let mut arrivals = trace.events.iter().filter_map(|e| match e.event {
+                TraceEvent::Arrive { spec, .. } => Some(spec),
+                _ => None,
+            });
+            let mut live = LivePlatform::new(objects, platform);
+            let mut next_id = 0u32;
+            for step in 0..120 {
+                let residents = live.tenant_ids();
+                let pick = |rng: &mut StdRng| residents[rng.gen_range(0..residents.len())];
+                let op = match rng.gen_range(0..12u32) {
+                    // A capacity revocation lasts a few steps.
+                    _ if live.purchase_frozen() && rng.gen_range(0..3u32) == 0 => {
+                        live.set_purchase_freeze(false);
+                        "thaw".to_string()
+                    }
+                    6 | 7 if !residents.is_empty() => {
+                        let id = pick(&mut rng);
+                        let mut budget = snsp_search::Budget::new(rng.gen_range(0..40u64));
+                        assert!(live.depart_budgeted(id, &mut budget));
+                        format!("depart {id}")
+                    }
+                    8 if live.proc_count() > 1 => {
+                        let live_slots = live.live_slots();
+                        let victim = live_slots[rng.gen_range(0..live_slots.len())];
+                        live.fail_slot(victim);
+                        format!("fail slot {victim}")
+                    }
+                    9 if !residents.is_empty() => {
+                        let id = pick(&mut rng);
+                        assert!(live.shed(id));
+                        format!("shed {id}")
+                    }
+                    10 => {
+                        live.set_purchase_freeze(true);
+                        "freeze".to_string()
+                    }
+                    _ => {
+                        let s = arrivals.next().expect("trace has enough arrivals");
+                        let ok = admit(&mut live, next_id, s).is_ok();
+                        next_id += 1;
+                        format!("admit {} ({ok})", next_id - 1)
+                    }
+                };
+                let ctx = format!("seed {seed} step {step} ({op})");
+                assert_index_matches_oracle(&live, &ctx);
+                live.audit().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            }
+        }
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
         return 0.0;
     }
     let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    sorted.sort_by(f64::total_cmp);
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
@@ -121,6 +121,15 @@ mod tests {
         assert_eq!(percentile(&v, 100.0), 100.0);
         // Unsorted input is handled.
         assert_eq!(percentile(&[3.0, 1.0, 2.0], 50.0), 2.0);
+    }
+
+    #[test]
+    fn percentile_tolerates_nan_samples() {
+        // NaN sorts above every number (total order), so low ranks are
+        // still the real samples and nothing panics.
+        let v = [2.0, f64::NAN, 1.0, 3.0];
+        assert_eq!(percentile(&v, 50.0), 2.0);
+        assert!(percentile(&v, 100.0).is_nan());
     }
 
     #[test]

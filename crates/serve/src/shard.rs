@@ -690,8 +690,7 @@ pub fn replay_trace_sharded(
         }
         msgs.sort_by(|a, b| {
             a.time
-                .partial_cmp(&b.time)
-                .unwrap()
+                .total_cmp(&b.time)
                 .then(a.shard.cmp(&b.shard))
                 .then(a.seq.cmp(&b.seq))
         });
