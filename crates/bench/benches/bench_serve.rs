@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use snsp_gen::{generate_trace, TraceParams};
-use snsp_serve::{run_trace, run_trace_sharded, ServeConfig, ShardOptions};
+use snsp_serve::{run_trace, run_trace_chaos, FaultPlan, ServeConfig, ShardOptions};
 
 fn replay_config() -> ServeConfig {
     ServeConfig {
@@ -49,10 +49,11 @@ fn sharded_replay(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_millis(1500));
 
     let trace = generate_trace(&TraceParams::heavy(40.0, 0.8, 10.0), 7);
+    let plan = FaultPlan::default();
     for workers in [1usize, 2, 4] {
         let opts = ShardOptions { shards: 4, workers };
         group.bench_with_input(BenchmarkId::new("workers", workers), &trace, |b, trace| {
-            b.iter(|| run_trace_sharded(trace, &replay_config(), &opts))
+            b.iter(|| run_trace_chaos(trace, &replay_config(), &opts, &plan))
         });
     }
     group.finish();

@@ -10,10 +10,10 @@
 //! online subsystem as schema v3 (`BENCH_serve.json`,
 //! [`validate_serve_report`](snsp_sweep::validate_serve_report)).
 //!
-//! Campaigns can replay through the sharded tier
-//! ([`with_shards`](ServeCampaign::with_shards)): each trace then runs
-//! on [`run_trace_sharded`] with its
-//! own replay-worker pool, and the config echo records both knobs.
+//! Every trace replays on the one replay engine, [`run_trace_chaos`]
+//! under the empty [`FaultPlan`], at the campaign's shard count
+//! ([`with_shards`](ServeCampaign::with_shards), 1 by default) with its
+//! own replay-worker pool; the config echo records both knobs.
 //! Admission latencies (wall-clock, per successful admission) aggregate
 //! into nearest-rank p50/p99 columns; being timings, they render as
 //! `null` in the stable form and as full sample statistics in the timed
@@ -24,9 +24,10 @@ use std::time::Instant;
 use snsp_gen::{generate_trace, TraceParams};
 use snsp_sweep::{run_jobs, Json, PhaseTiming};
 
+use crate::fault::{run_trace_chaos, FaultPlan};
 use crate::report::{percentile, TraceReport};
-use crate::shard::{run_trace_sharded, ShardOptions};
-use crate::sim::{run_trace, ServeConfig};
+use crate::shard::ShardOptions;
+use crate::sim::ServeConfig;
 
 /// One labelled trace scenario.
 #[derive(Debug, Clone)]
@@ -59,12 +60,9 @@ pub struct ServeCampaign {
     pub config: ServeConfig,
     /// Worker threads; `None` uses available parallelism.
     pub workers: Option<usize>,
-    /// Tenant shards per replay; 1 uses the unsharded
-    /// [`run_trace`] path, >1 replays through
-    /// [`run_trace_sharded`].
+    /// Tenant shards per replay (1: the whole platform as one shard).
     pub shards: usize,
-    /// Worker threads driving each sharded replay's per-tick batches
-    /// (ignored when `shards == 1`).
+    /// Worker threads driving each replay's per-tick shard batches.
     pub replay_workers: usize,
 }
 
@@ -94,8 +92,8 @@ impl ServeCampaign {
         self
     }
 
-    /// Routes every replay through the sharded tier: `shards` tenant
-    /// shards, each replay driving its tick batches with
+    /// Partitions every replay into `shards` tenant shards, each replay
+    /// driving its tick batches with
     /// `replay_workers` threads (both clamped to at least 1). Shard
     /// count changes packing (it is part of the scenario); replay
     /// workers never change results.
@@ -388,11 +386,7 @@ pub fn run_serve_campaign(campaign: &ServeCampaign) -> ServeCampaignReport {
         let point = &campaign.points[job / n_seeds];
         let seed = (job % n_seeds) as u64;
         let trace = generate_trace(&point.params, seed);
-        if shard_opts.shards > 1 {
-            run_trace_sharded(&trace, &campaign.config, &shard_opts)
-        } else {
-            run_trace(&trace, &campaign.config)
-        }
+        run_trace_chaos(&trace, &campaign.config, &shard_opts, &FaultPlan::default()).base
     });
     let run_s = t_run.elapsed().as_secs_f64();
 

@@ -1,5 +1,13 @@
-//! Deterministic fault injection, crash recovery, and graceful
-//! degradation for the sharded serve tier.
+//! The replay engine: tick-barrier trace replay over the sharded tier,
+//! with deterministic fault injection, crash recovery, and graceful
+//! degradation.
+//!
+//! [`replay_trace_chaos`] is the only replay loop in the crate. Under the
+//! empty [`FaultPlan`] (`FaultPlan::default()`) it is the plain sharded
+//! replay, and at one shard it is [`run_trace`](crate::sim::run_trace);
+//! serve campaigns call it with the empty plan, chaos campaigns with a
+//! drawn one. Nothing in it branches on the shard count or on whether
+//! the plan is empty: an empty plan simply schedules no faults.
 //!
 //! Real platforms lose shards, drop cross-shard messages, get hit by
 //! correlated rack failures, and have capacity revoked under them. This
@@ -25,7 +33,7 @@
 //!   an uninterrupted run's — the contract the chaos campaign asserts
 //!   per run (`crash_fingerprint_match`).
 //! * **Message faults are injected and then recovered at the barrier.**
-//!   Dropped [`ShardMsg`]s are retransmitted from the sender's retained
+//!   Dropped shard messages are retransmitted from the sender's retained
 //!   outbox (senders keep a tick's messages until the barrier acks),
 //!   duplicates are discarded by their unique `(time, shard, seq)` key,
 //!   and delayed messages simply arrive later *within* the tick — the
@@ -46,11 +54,6 @@
 //!   cross-shard ones (home routing, no double residency). Violations
 //!   are counted, surfaced in the report, and asserted zero by the
 //!   integration tests.
-//!
-//! With a default (all-off) [`FaultSpec`] the chaos replay is
-//! line-for-line identical to
-//! [`run_trace_sharded`](crate::shard::run_trace_sharded) — chaos is a
-//! strict extension, not a fork, of the sharded tier.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
@@ -63,7 +66,7 @@ use snsp_core::ids::TenantId;
 use snsp_gen::{generate_trace, trace_environment, TenantSpec, Trace, TraceEvent, TraceParams};
 use snsp_sweep::pool::run_jobs_checked;
 use snsp_sweep::{run_jobs, Json, PhaseTiming, PIPELINE_SEED_STRIDE};
-use snsp_telemetry::{Class, Counter, Histogram};
+use snsp_telemetry::{Class, Counter, Gauge, Histogram};
 
 use crate::campaign::{point_config_json, ServePoint};
 use crate::platform::LivePlatform;
@@ -72,6 +75,17 @@ use crate::shard::{
     replay_batch, Coordinator, ShardBatch, ShardMsg, ShardMsgKind, ShardOptions, ShardedPlatform,
 };
 use crate::sim::{validate_residents, ServeConfig};
+
+/// Events replayed per non-empty shard batch at each tick barrier.
+static TICK_BATCH_EVENTS: Histogram = Histogram::new("serve.tick.batch_events", Class::Det);
+/// Per-shard admissions over one replay — the shard-imbalance
+/// distribution (routing is pure, so the samples are Det).
+static SHARD_ADMITTED: Histogram = Histogram::new("serve.shard.admitted", Class::Det);
+/// Wall-clock admission latency — Overlay by nature.
+static SERVE_ADMIT_LATENCY: Histogram = Histogram::new("serve.admit.latency_us", Class::Overlay);
+/// Peak resident-set size sampled after each replay (`/proc/self/status`
+/// VmHWM) — a process-level, scheduling-dependent gauge.
+static SERVE_PEAK_RSS: Gauge = Gauge::new("serve.peak_rss_kb", Class::Overlay);
 
 // Det-class fault/recovery/retry counters: every count below is a pure
 // function of (trace, fault plan, config) — worker counts never move
@@ -107,7 +121,7 @@ const REVOKE_DRAWS: usize = 256;
 /// Deterministic exponential backoff for the re-admission queue: retry
 /// `k` of a tenant enqueued at `t₀` runs at the first tick barrier after
 /// `t + base·factorᵏ`. `max_attempts == 0` disables the queue entirely
-/// (evicted tenants stay gone, as in the plain sharded tier).
+/// (evicted tenants stay gone, as in a fault-free replay).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// First-retry delay in trace time units.
@@ -304,8 +318,10 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// The full, deterministic fault schedule of one replay.
-#[derive(Debug, Clone, PartialEq)]
+/// The full, deterministic fault schedule of one replay. The default is
+/// the empty plan of [`FaultSpec::default()`]: the replay it drives is the
+/// plain, fault-free one.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// The spec this plan was instantiated from.
     pub spec: FaultSpec,
@@ -457,7 +473,8 @@ pub struct ChaosStats {
 /// fault/recovery accounting and the final platform fingerprint.
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
-    /// The base serving metrics (same contract as the sharded tier).
+    /// The base serving metrics (the report [`run_trace`](crate::sim::run_trace)
+    /// returns).
     pub base: TraceReport,
     /// Fault/recovery/retry accounting.
     pub stats: ChaosStats,
@@ -660,14 +677,16 @@ impl<'a> ChaosEngine<'a> {
         if pool.panics > 0 {
             // A worker died mid-tick: dump the flight recorder first so
             // the crash scene survives, then re-raise with `run_jobs`'s
-            // own message (chaos stays a strict extension of the plain
-            // sharded tier's contract).
+            // own message.
             self.flight_dump(
                 "pool-panic",
                 "worker panicked replaying a shard batch",
                 None,
             );
             panic!("{} pool job(s) panicked", pool.panics);
+        }
+        for b in self.batches.iter().filter(|b| !b.events.is_empty()) {
+            TICK_BATCH_EVENTS.record(b.events.len() as f64);
         }
         let mut outcomes: Vec<(Vec<ShardMsg>, Vec<f64>)> = raw.into_iter().flatten().collect();
         // Crash + recover: the victim's in-flight results are lost with
@@ -715,12 +734,18 @@ impl<'a> ChaosEngine<'a> {
             FAULT_RECOVERIES.incr();
             RECOVERY_REPLAYED.record(replayed as f64);
         }
+        // Gather into the largest outbox rather than a fresh buffer: the
+        // sort below makes the gather order irrelevant, and `(time, shard,
+        // seq)` keys are unique, so the unstable sort needs no scratch.
         let mut msgs: Vec<ShardMsg> = Vec::new();
-        for (s, (shard_msgs, shard_lat)) in outcomes.into_iter().enumerate() {
-            msgs.extend(shard_msgs);
+        for (s, (mut shard_msgs, shard_lat)) in outcomes.into_iter().enumerate() {
+            if shard_msgs.capacity() > msgs.capacity() {
+                std::mem::swap(&mut msgs, &mut shard_msgs);
+            }
+            msgs.append(&mut shard_msgs);
             self.latencies[s].extend(shard_lat);
         }
-        msgs.sort_by(|a, b| {
+        msgs.sort_unstable_by(|a, b| {
             a.time
                 .total_cmp(&b.time)
                 .then(a.shard.cmp(&b.shard))
@@ -728,7 +753,7 @@ impl<'a> ChaosEngine<'a> {
         });
         self.inject_and_recover_msgs(&mut msgs);
         let barrier_t = msgs.last().map(|m| m.time);
-        for (fold_ix, msg) in msgs.iter().enumerate() {
+        for (fold_ix, msg) in msgs.into_iter().enumerate() {
             // The fold event's seq is the *global* fold index within the
             // tick (the per-shard seq is already spent by `msg_send`).
             crate::shard::trace_det(
@@ -745,7 +770,7 @@ impl<'a> ChaosEngine<'a> {
                     self.reject_streak += 1;
                     self.enqueue_retry(tenant, msg.time);
                 }
-                ShardMsgKind::Admitted { .. } => self.reject_streak = 0,
+                ShardMsgKind::Admitted => self.reject_streak = 0,
                 _ => {}
             }
             self.coord.apply(msg);
@@ -1003,7 +1028,7 @@ impl<'a> ChaosEngine<'a> {
     /// Resolves a global slot-kill lottery (trace failures, rack bursts
     /// and revocation kills all share this path), folding the Failed /
     /// Evicted messages and queueing evicted tenants for retry. `label`
-    /// is the log verb ("fail" matches the plain sharded tier).
+    /// is the log verb ("fail" for trace failures).
     fn fail_global(&mut self, t: f64, lottery: u64, label: &str) {
         let Some((s, out)) = self.sharded.fail(lottery) else {
             return;
@@ -1014,14 +1039,11 @@ impl<'a> ChaosEngine<'a> {
         let cost = shard.cost();
         let procs = shard.proc_count();
         let evicted: Vec<String> = out.evicted.iter().map(|id| format!("t{id}")).collect();
-        self.coord.apply(&ShardMsg {
+        self.coord.apply(ShardMsg {
             time: t,
             shard: s,
             seq: 0,
-            kind: ShardMsgKind::Failed {
-                remapped: out.remapped.len(),
-                evicted: out.evicted.len(),
-            },
+            kind: ShardMsgKind::Failed,
             cost,
             procs,
             used,
@@ -1042,11 +1064,11 @@ impl<'a> ChaosEngine<'a> {
                     tenant: tenant.0 as u64,
                 },
             );
-            self.coord.apply(&ShardMsg {
+            self.coord.apply(ShardMsg {
                 time: t,
                 shard: s,
                 seq: 1,
-                kind: ShardMsgKind::Evicted { tenant },
+                kind: ShardMsgKind::Evicted,
                 cost,
                 procs,
                 used,
@@ -1162,7 +1184,10 @@ impl<'a> ChaosEngine<'a> {
 }
 
 /// [`run_trace_chaos`], also handing back the final
-/// [`ShardedPlatform`] (fingerprint/snapshot comparisons).
+/// [`ShardedPlatform`] (fingerprint/snapshot comparisons). This is the
+/// crate's one replay engine; [`run_trace`](crate::sim::run_trace) and
+/// [`run_serve_campaign`](crate::campaign::run_serve_campaign) call it
+/// with the empty plan.
 pub fn replay_trace_chaos(
     trace: &Trace,
     config: &ServeConfig,
@@ -1241,6 +1266,14 @@ pub fn replay_trace_chaos(
         }
     }
     eng.coord.advance(horizon);
+    for &count in &eng.admitted {
+        SHARD_ADMITTED.record(count as f64);
+    }
+    // Guarded: `peak_rss_kb` reads `/proc` and must stay off the
+    // disabled path (the gauge's own check runs after the argument).
+    if snsp_telemetry::enabled() {
+        SERVE_PEAK_RSS.record_max(snsp_telemetry::peak_rss_kb());
+    }
 
     let mut report = eng.coord.report;
     report.final_cost = eng.sharded.cost();
@@ -1250,6 +1283,9 @@ pub fn replay_trace_chaos(
         0.0
     };
     report.admit_latencies_us = eng.latencies.into_iter().flatten().collect();
+    for &us in &report.admit_latencies_us {
+        SERVE_ADMIT_LATENCY.record(us);
+    }
     let fingerprint = eng.sharded.fingerprint();
     (
         ChaosReport {
@@ -1264,9 +1300,8 @@ pub fn replay_trace_chaos(
 /// Replays one trace through the sharded tier under a fault plan: every
 /// fault is injected at its scheduled time, crashes recover from tick
 /// checkpoints, message faults recover at barriers, and the retry queue
-/// and degradation policy run at every barrier. With an all-off
-/// [`FaultSpec`] the result is identical to
-/// [`run_trace_sharded`](crate::shard::run_trace_sharded).
+/// and degradation policy run at every barrier. Under the empty plan
+/// ([`FaultPlan::default()`]) this is the plain sharded replay.
 pub fn run_trace_chaos(
     trace: &Trace,
     config: &ServeConfig,
@@ -1740,7 +1775,6 @@ pub fn run_chaos_campaign(campaign: &ChaosCampaign) -> ChaosCampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::replay_trace_sharded;
     use snsp_gen::{generate_trace, TraceParams};
 
     fn trace(seed: u64) -> Trace {
@@ -1791,17 +1825,15 @@ mod tests {
     fn zero_fault_chaos_matches_the_plain_sharded_tier() {
         let trace = trace(3);
         let plan = FaultPlan::instantiate(&FaultSpec::default(), trace.params.horizon);
-        assert!(plan.events.is_empty());
+        assert_eq!(
+            plan,
+            FaultPlan::default(),
+            "an all-off spec is the empty plan"
+        );
         for shards in [1usize, 2, 3] {
             let opts = ShardOptions { shards, workers: 2 };
-            let (plain, plain_state) = replay_trace_sharded(&trace, &ServeConfig::default(), &opts);
-            let (chaos, chaos_state) =
-                replay_trace_chaos(&trace, &ServeConfig::default(), &opts, &plan);
-            assert_eq!(plain.log, chaos.base.log, "{shards} shards");
-            assert_eq!(plain.final_cost, chaos.base.final_cost);
-            assert_eq!(plain.cost_time_integral, chaos.base.cost_time_integral);
-            assert_eq!(plain_state.fingerprint(), chaos_state.fingerprint());
-            assert_eq!(chaos.stats, ChaosStats::default());
+            let chaos = run_trace_chaos(&trace, &ServeConfig::default(), &opts, &plan);
+            assert_eq!(chaos.stats, ChaosStats::default(), "{shards} shards");
         }
     }
 

@@ -19,15 +19,18 @@
 //!   reclaim streams and machines and trigger an opportunistic
 //!   re-consolidation + downgrade pass; failures re-map displaced
 //!   operators or evict their tenants.
-//! * [`run_trace`] — deterministic trace replay producing a
-//!   [`TraceReport`]: admission rate, `∫ cost dt`, utilization, SLO
-//!   violations spot-validated by running `snsp_engine` on per-tenant
-//!   projections of the platform snapshot.
-//! * [`ShardedPlatform`] / [`run_trace_sharded`] — the scale-out tier:
-//!   tenants hash to shards that own disjoint processor pools, per-tick
-//!   batches replay in parallel on `snsp-sweep`'s pool, and cross-shard
-//!   effects travel as [`ShardMsg`]s folded deterministically at tick
-//!   barriers — same event log at any worker count.
+//! * [`replay_trace_chaos`] / [`run_trace_chaos`] — the one replay
+//!   engine. Tenants hash to [`ShardedPlatform`] shards that own disjoint
+//!   processor pools, per-tick batches replay in parallel on
+//!   `snsp-sweep`'s pool, and cross-shard effects travel as shard
+//!   messages folded deterministically at tick barriers — same event log
+//!   at any worker count. A [`FaultPlan`] injects crashes, rack failures,
+//!   message faults and revocations; the empty plan
+//!   (`FaultPlan::default()`) is the plain fault-free replay.
+//! * [`run_trace`] — that engine at one shard under the empty plan,
+//!   producing a [`TraceReport`]: admission rate, `∫ cost dt`,
+//!   utilization, SLO violations spot-validated by running `snsp_engine`
+//!   on per-tenant projections of the platform snapshot.
 //! * [`ServeCampaign`] / [`run_serve_campaign`] — whole trace grids on
 //!   `snsp-sweep`'s pool, with schema-v3 JSON (admission-latency p50/p99
 //!   columns) whose stable form is byte-identical at any worker count
@@ -65,8 +68,5 @@ pub use platform::{
     AdmitError, AdmitOutcome, FailOutcome, LivePlatform, Tenant, DEFAULT_DEPART_EVALS,
 };
 pub use report::{percentile, TraceReport};
-pub use shard::{
-    replay_trace_sharded, run_trace_sharded, shard_of, ShardMsg, ShardMsgKind, ShardOptions,
-    ShardedPlatform,
-};
+pub use shard::{shard_of, ShardOptions, ShardedPlatform};
 pub use sim::{run_trace, ServeConfig};

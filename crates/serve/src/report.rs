@@ -37,9 +37,15 @@ pub struct TraceReport {
     pub peak_cost: u64,
     /// Most processors live at once.
     pub peak_procs: usize,
-    /// `∫ cost(t) dt` over the horizon ($·time).
+    /// `∫ cost(t) dt` over the horizon ($·time). Cost is piecewise
+    /// constant; the integral is accumulated at each committed event
+    /// (every folded shard message, in `(time, shard, seq)` order). An
+    /// event that commits nothing — the departure of a tenant that is not
+    /// resident, a failure on an empty platform — does not split an
+    /// interval.
     pub cost_time_integral: f64,
-    /// Time-weighted mean CPU utilization.
+    /// Time-weighted mean CPU utilization, integrated at the same points
+    /// as [`cost_time_integral`](Self::cost_time_integral).
     pub mean_utilization: f64,
     /// Deterministic event log, one line per effective event.
     pub log: Vec<String>,

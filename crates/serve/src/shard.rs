@@ -23,7 +23,7 @@
 //! * **Cross-shard effects are messages, resolved at tick barriers.**
 //!   Shards never read each other's state. During a tick every shard
 //!   replays its private event batch in parallel (on the same
-//!   work-stealing pool as offline campaigns) and emits [`ShardMsg`]s —
+//!   work-stealing pool as offline campaigns) and emits `ShardMsg`s —
 //!   buys, reclamations, admissions, rejections. At the barrier the
 //!   coordinator folds the messages in `(time, shard, seq)` order into
 //!   the global accounting (cost integral, utilization, peaks, the event
@@ -32,7 +32,14 @@
 //!   drawn over the concatenation of every shard's live slots, then
 //!   targeted at the victim shard
 //!   ([`fail_slot`](crate::platform::LivePlatform::fail_slot)), whose
-//!   evictions come back as [`ShardMsg`]s.
+//!   evictions are folded as messages too.
+//!
+//! This module holds the partitioned state and the message protocol; the
+//! tick loop that drives them is the one replay engine,
+//! [`replay_trace_chaos`](crate::fault::replay_trace_chaos). A plain
+//! sharded replay is that engine under the empty
+//! [`FaultPlan`](crate::fault::FaultPlan), and
+//! [`run_trace`](crate::sim::run_trace) is the same at one shard.
 //!
 //! Because message folding is a pure function of the trace — never of
 //! thread interleaving — the replay is **byte-identical at any worker
@@ -43,35 +50,44 @@
 //!
 //! ```
 //! use snsp_gen::{generate_trace, TraceParams};
-//! use snsp_serve::{run_trace_sharded, ServeConfig, ShardOptions};
+//! use snsp_serve::{replay_trace_chaos, FaultPlan, ServeConfig, ShardOptions};
 //!
 //! let trace = generate_trace(&TraceParams::poisson(0.4, 4.0, 15.0), 7);
-//! let opts = ShardOptions { shards: 2, workers: 2 };
-//! let a = run_trace_sharded(&trace, &ServeConfig::default(), &opts);
-//! let b = run_trace_sharded(&trace, &ServeConfig::default(), &opts);
-//! assert_eq!(a.log, b.log); // deterministic replay, sharded or not
-//! assert_eq!(a.admitted + a.rejected, a.arrivals);
+//! let config = ServeConfig::default();
+//! let plan = FaultPlan::default(); // no faults: the plain sharded tier
+//! let serial = ShardOptions { shards: 2, workers: 1 };
+//! let parallel = ShardOptions { shards: 2, workers: 2 };
+//! let (a, state) = replay_trace_chaos(&trace, &config, &serial, &plan);
+//! let (b, _) = replay_trace_chaos(&trace, &config, &parallel, &plan);
+//! assert_eq!(a.base.log, b.base.log); // deterministic at any worker count
+//! assert_eq!(a.base.admitted + a.base.rejected, a.base.arrivals);
+//! assert_eq!(a.fingerprint, state.fingerprint());
 //! ```
 
-use std::sync::Mutex;
 use std::time::Instant;
 
 use snsp_core::ids::TenantId;
 use snsp_core::multi::{MultiInstance, MultiSolution};
 use snsp_core::object::ObjectCatalog;
 use snsp_core::platform::Platform;
-use snsp_gen::{tenant_instance, trace_environment, TenantSpec, TimedEvent, Trace, TraceEvent};
-use snsp_sweep::{run_jobs, PIPELINE_SEED_STRIDE};
+use snsp_gen::{tenant_instance, TenantSpec, TimedEvent, TraceEvent};
+use snsp_sweep::PIPELINE_SEED_STRIDE;
 
-use snsp_telemetry::{Class, Counter, Histogram};
+use snsp_telemetry::{Class, Counter};
 
 use crate::platform::{AdmitError, AdmitOutcome, LivePlatform};
 use crate::report::{fnv1a, TraceReport, FNV_OFFSET};
-use crate::sim::{
-    validate_residents, ServeConfig, SERVE_ADMITTED, SERVE_ADMIT_LATENCY, SERVE_DEPARTED,
-    SERVE_EVICTED, SERVE_FAILURES, SERVE_PEAK_RSS, SERVE_REJECTED,
-};
+use crate::sim::{validate_residents, ServeConfig};
 
+// Per-event replay counters, folded at the coordinator. Det-class: every
+// count is a pure function of the trace (admission control, departures
+// and failure lotteries are all deterministic), and campaign totals are
+// commutative sums over jobs.
+static SERVE_ADMITTED: Counter = Counter::new("serve.admitted", Class::Det);
+static SERVE_REJECTED: Counter = Counter::new("serve.rejected", Class::Det);
+static SERVE_DEPARTED: Counter = Counter::new("serve.departed", Class::Det);
+static SERVE_EVICTED: Counter = Counter::new("serve.evicted", Class::Det);
+static SERVE_FAILURES: Counter = Counter::new("serve.failures", Class::Det);
 // Cross-shard message volume by kind, counted at the coordinator fold.
 // Det: the message stream is a pure function of the trace.
 static MSG_ADMITTED: Counter = Counter::new("serve.shardmsg.admitted", Class::Det);
@@ -80,17 +96,13 @@ static MSG_DEPARTED: Counter = Counter::new("serve.shardmsg.departed", Class::De
 static MSG_EVICTED: Counter = Counter::new("serve.shardmsg.evicted", Class::Det);
 static MSG_FAILED: Counter = Counter::new("serve.shardmsg.failed", Class::Det);
 static MSG_SLO_CHECKED: Counter = Counter::new("serve.shardmsg.slo_checked", Class::Det);
-/// Per-shard admissions over one replay — the shard-imbalance
-/// distribution (routing is pure, so the samples are Det).
-static SHARD_ADMITTED: Histogram = Histogram::new("serve.shard.admitted", Class::Det);
-/// Events replayed per non-empty shard batch at each tick barrier.
-static TICK_BATCH_EVENTS: Histogram = Histogram::new("serve.tick.batch_events", Class::Det);
 
 /// How a sharded replay is partitioned and driven.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardOptions {
     /// Number of tenant shards (clamped to at least 1). One shard is
-    /// semantically identical to the unsharded [`LivePlatform`] path.
+    /// the whole platform as a single [`LivePlatform`]
+    /// ([`run_trace`](crate::sim::run_trace)).
     pub shards: usize,
     /// Worker threads driving the per-tick shard batches (clamped to at
     /// least 1). Affects wall-clock only — never results.
@@ -131,15 +143,9 @@ pub fn shard_of(tenant: TenantId, shards: usize) -> usize {
 /// eviction counts, the merged event log) is reconstructed by folding
 /// these messages at tick barriers in `(time, shard, seq)` order.
 #[derive(Debug, Clone)]
-pub enum ShardMsgKind {
-    /// An admission committed: `new_procs` machines bought (a cross-shard
-    /// *buy* visible to the global ledger), `reused_procs` reused.
-    Admitted {
-        /// Machines bought for this tenant.
-        new_procs: usize,
-        /// Already-owned machines the tenant was packed onto.
-        reused_procs: usize,
-    },
+pub(crate) enum ShardMsgKind {
+    /// An admission committed (its buys show in the cost column).
+    Admitted,
     /// An arrival was refused; no state changed.
     Rejected {
         /// The refused tenant (the chaos retry queue re-admits it later).
@@ -147,20 +153,12 @@ pub enum ShardMsgKind {
     },
     /// A tenant departed; machines and streams were reclaimed.
     Departed,
-    /// A failure barrier evicted this tenant from the shard (the
+    /// A failure barrier evicted one tenant from the shard (the
     /// cross-shard *evict* notification).
-    Evicted {
-        /// The evicted tenant.
-        tenant: TenantId,
-    },
-    /// A processor failure was resolved against this shard.
-    Failed {
-        /// Tenants whose displaced blocks were re-mapped in-shard.
-        remapped: usize,
-        /// Tenants evicted (also reported individually as
-        /// [`ShardMsgKind::Evicted`]).
-        evicted: usize,
-    },
+    Evicted,
+    /// A processor failure was resolved against this shard; each evicted
+    /// tenant follows as its own `Evicted`.
+    Failed,
     /// Engine spot-validation ran on this shard's residents.
     SloChecked {
         /// Projections validated.
@@ -175,11 +173,11 @@ impl ShardMsgKind {
     /// events.
     pub(crate) fn label(&self) -> &'static str {
         match self {
-            ShardMsgKind::Admitted { .. } => "admitted",
+            ShardMsgKind::Admitted => "admitted",
             ShardMsgKind::Rejected { .. } => "rejected",
             ShardMsgKind::Departed => "departed",
-            ShardMsgKind::Evicted { .. } => "evicted",
-            ShardMsgKind::Failed { .. } => "failed",
+            ShardMsgKind::Evicted => "evicted",
+            ShardMsgKind::Failed => "failed",
             ShardMsgKind::SloChecked { .. } => "slo_checked",
         }
     }
@@ -211,7 +209,7 @@ pub(crate) fn trace_det(
 /// shard's accounting snapshot *after* the event, stamped for
 /// deterministic folding.
 #[derive(Debug, Clone)]
-pub struct ShardMsg {
+pub(crate) struct ShardMsg {
     /// Trace time of the event.
     pub time: f64,
     /// Originating shard.
@@ -276,8 +274,8 @@ impl ShardedPlatform {
         &mut self.shards[s]
     }
 
-    /// Mutable access to every shard at once (chaos replay hands each
-    /// worker one exclusive cell, like the sharded flush).
+    /// Mutable access to every shard at once (the replay engine hands
+    /// each tick worker one exclusive cell).
     pub(crate) fn shards_mut(&mut self) -> &mut [LivePlatform] {
         &mut self.shards
     }
@@ -419,14 +417,14 @@ impl Coordinator {
 
     /// Applies one message: advance time, update the shard column, fold
     /// counters, peaks and log lines.
-    pub(crate) fn apply(&mut self, msg: &ShardMsg) {
+    pub(crate) fn apply(&mut self, msg: ShardMsg) {
         self.advance(msg.time);
         self.cost[msg.shard] = msg.cost;
         self.procs[msg.shard] = msg.procs;
         self.used[msg.shard] = msg.used;
         self.speed[msg.shard] = msg.speed;
         match msg.kind {
-            ShardMsgKind::Admitted { .. } => {
+            ShardMsgKind::Admitted => {
                 self.report.arrivals += 1;
                 self.report.admitted += 1;
                 SERVE_ADMITTED.incr();
@@ -443,12 +441,12 @@ impl Coordinator {
                 SERVE_DEPARTED.incr();
                 MSG_DEPARTED.incr();
             }
-            ShardMsgKind::Evicted { .. } => {
+            ShardMsgKind::Evicted => {
                 self.report.evicted += 1;
                 SERVE_EVICTED.incr();
                 MSG_EVICTED.incr();
             }
-            ShardMsgKind::Failed { .. } => {
+            ShardMsgKind::Failed => {
                 self.report.failures += 1;
                 SERVE_FAILURES.incr();
                 MSG_FAILED.incr();
@@ -459,8 +457,13 @@ impl Coordinator {
                 MSG_SLO_CHECKED.incr();
             }
         }
-        for line in msg.line.split('\n').filter(|l| !l.is_empty()) {
-            self.report.log.push(line.to_string());
+        // A single line moves into the log; only SLO spot checks carry
+        // several.
+        if msg.line.contains('\n') {
+            let lines = msg.line.split('\n').filter(|l| !l.is_empty());
+            self.report.log.extend(lines.map(str::to_string));
+        } else if !msg.line.is_empty() {
+            self.report.log.push(msg.line);
         }
         self.report.peak_cost = self.report.peak_cost.max(self.cost.iter().sum());
         self.report.peak_procs = self.report.peak_procs.max(self.procs.iter().sum());
@@ -479,7 +482,8 @@ pub(crate) fn replay_batch(
     admitted_so_far: &mut usize,
     tick: u64,
 ) -> (Vec<ShardMsg>, Vec<f64>) {
-    let mut msgs = Vec::new();
+    // At most one message per event, plus one per spot check.
+    let mut msgs = Vec::with_capacity(batch.events.len());
     let mut latencies = Vec::new();
     let mut seq = 0u32;
     let mut push =
@@ -543,16 +547,7 @@ pub(crate) fn replay_batch(
                                 reused_procs: out.reused_procs as u64,
                             },
                         );
-                        push(
-                            live,
-                            t,
-                            &mut seq,
-                            ShardMsgKind::Admitted {
-                                new_procs: out.new_procs,
-                                reused_procs: out.reused_procs,
-                            },
-                            line,
-                        );
+                        push(live, t, &mut seq, ShardMsgKind::Admitted, line);
                         if config.spot_admissions > 0
                             && (*admitted_so_far).is_multiple_of(config.spot_admissions)
                         {
@@ -612,230 +607,273 @@ pub(crate) fn replay_batch(
     (msgs, latencies)
 }
 
-/// Replays one trace over a [`ShardedPlatform`], driving each tick's
-/// shard batches on the sweep pool. Deterministic at any worker count
-/// (see the module docs); with `shards == 1` the result is semantically
-/// identical to [`run_trace`](crate::sim::run_trace), modulo the
-/// `s{shard}` log prefix.
-pub fn run_trace_sharded(trace: &Trace, config: &ServeConfig, opts: &ShardOptions) -> TraceReport {
-    replay_trace_sharded(trace, config, opts).0
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::{replay_trace_chaos, FaultPlan};
+    use snsp_core::multi::verify_joint;
+    use snsp_gen::{generate_trace, trace_environment, Burst, Trace, TraceParams};
 
-/// [`run_trace_sharded`], also handing back the final
-/// [`ShardedPlatform`] so callers can fingerprint or snapshot the end
-/// state (the determinism integration tests compare exactly this).
-pub fn replay_trace_sharded(
-    trace: &Trace,
-    config: &ServeConfig,
-    opts: &ShardOptions,
-) -> (TraceReport, ShardedPlatform) {
-    let opts = opts.clamped();
-    let (objects, platform) = trace_environment(&trace.params, trace.seed);
-    let mut sharded = ShardedPlatform::new(objects, platform, opts.shards);
-    let n_shards = sharded.shard_count();
-    let mut coord = Coordinator::new(n_shards);
-    let mut latencies: Vec<Vec<f64>> = vec![Vec::new(); n_shards];
-    // Per-shard admission counters for the spot-check cadence, carried
-    // across ticks.
-    let mut admitted: Vec<usize> = vec![0; n_shards];
+    fn replay(trace: &Trace, config: &ServeConfig, shards: usize, workers: usize) -> TraceReport {
+        let opts = ShardOptions { shards, workers };
+        replay_trace_chaos(trace, config, &opts, &FaultPlan::default())
+            .0
+            .base
+    }
 
-    let mut batches: Vec<ShardBatch> = (0..n_shards).map(|_| ShardBatch::default()).collect();
-    // Barrier number for the trace layer's logical clock; incremented
-    // once per non-empty flush, so it is a pure function of the trace.
-    let mut tick = 0u64;
-    let flush = |sharded: &mut ShardedPlatform,
-                 batches: &mut Vec<ShardBatch>,
-                 coord: &mut Coordinator,
-                 latencies: &mut Vec<Vec<f64>>,
-                 admitted: &mut Vec<usize>,
-                 tick: &mut u64| {
-        if batches.iter().all(|b| b.events.is_empty()) {
-            return;
+    /// One committed event of the oracle: its shard's state afterwards
+    /// and the log lines it wrote.
+    struct Commit {
+        time: f64,
+        shard: usize,
+        seq: usize,
+        cost: u64,
+        procs: usize,
+        used: f64,
+        speed: f64,
+        lines: Vec<String>,
+    }
+
+    fn commit(live: &LivePlatform, time: f64, shard: usize, seq: usize, line: String) -> Commit {
+        let (used, speed) = live.cpu_load();
+        Commit {
+            time,
+            shard,
+            seq,
+            cost: live.cost(),
+            procs: live.proc_count(),
+            used,
+            speed,
+            lines: vec![line],
         }
-        *tick += 1;
-        let tick_events: u64 = batches.iter().map(|b| b.events.len() as u64).sum();
-        snsp_telemetry::trace::record(
-            Class::Det,
-            trace.seed,
-            snsp_telemetry::trace::LogicalTime::tick_start(*tick),
-            snsp_telemetry::trace::TraceEventKind::TickStart {
-                events: tick_events,
-            },
-        );
-        for b in batches.iter().filter(|b| !b.events.is_empty()) {
-            TICK_BATCH_EVENTS.record(b.events.len() as f64);
+    }
+
+    /// The sequential oracle for the replay engine: the trace walked
+    /// event by event over `shards` shard platforms, with no ticks, no
+    /// pool and no messages. Tenants route with [`shard_of`]; a failure
+    /// draws its victim by the global lottery over every shard's live
+    /// slots, in shard order. Every committed event leaves a [`Commit`],
+    /// and the commits are integrated in `(time, shard, seq)` order.
+    fn oracle_replay(
+        trace: &Trace,
+        config: &ServeConfig,
+        shards: usize,
+    ) -> (TraceReport, ShardedPlatform) {
+        let (objects, platform) = trace_environment(&trace.params, trace.seed);
+        let mut sharded = ShardedPlatform::new(objects, platform, shards);
+        let mut report = TraceReport::default();
+        let mut commits: Vec<Commit> = Vec::new();
+        let mut admitted = vec![0usize; shards];
+        for ev in &trace.events {
+            let (t, seq) = (ev.time, commits.len());
+            let lives = sharded.shards_mut();
+            match ev.event {
+                TraceEvent::Arrive {
+                    tenant,
+                    spec,
+                    deadline,
+                } => {
+                    report.arrivals += 1;
+                    let s = shard_of(tenant, shards);
+                    let live = &mut lives[s];
+                    let inst = tenant_instance(live.objects(), live.platform(), &spec);
+                    let seed =
+                        trace.seed ^ (tenant.0 as u64 + 1).wrapping_mul(PIPELINE_SEED_STRIDE);
+                    match live.admit(tenant, inst, config.heuristic.as_ref(), seed, &config.opts) {
+                        Ok(out) => {
+                            report.admitted += 1;
+                            admitted[s] += 1;
+                            let line = format!(
+                                "{t:.6} s{s} admit t{tenant} n={} rho={:.3} until={deadline:.6} \
+                                 new={} reuse={} procs={} cost={}",
+                                spec.n_ops,
+                                spec.rho,
+                                out.new_procs,
+                                out.reused_procs,
+                                live.proc_count(),
+                                live.cost()
+                            );
+                            let mut c = commit(live, t, s, seq, line);
+                            if config.spot_admissions > 0
+                                && admitted[s].is_multiple_of(config.spot_admissions)
+                            {
+                                let (checks, violations) =
+                                    validate_residents(live, config, t, &mut c.lines);
+                                report.slo_checks += checks;
+                                report.slo_violations += violations;
+                            }
+                            commits.push(c);
+                        }
+                        Err(e) => {
+                            report.rejected += 1;
+                            let line =
+                                format!("{t:.6} s{s} reject t{tenant} n={} ({e})", spec.n_ops);
+                            commits.push(commit(live, t, s, seq, line));
+                        }
+                    }
+                }
+                TraceEvent::Depart { tenant } => {
+                    let s = shard_of(tenant, shards);
+                    let live = &mut lives[s];
+                    let mut budget = snsp_search::Budget::new(config.refine_evals);
+                    if live.depart_budgeted(tenant, &mut budget) {
+                        report.departed += 1;
+                        let line = format!(
+                            "{t:.6} s{s} depart t{tenant} procs={} cost={}",
+                            live.proc_count(),
+                            live.cost()
+                        );
+                        commits.push(commit(live, t, s, seq, line));
+                    }
+                }
+                TraceEvent::ProcessorFail { lottery } => {
+                    let total: usize = lives.iter().map(LivePlatform::proc_count).sum();
+                    if total == 0 {
+                        continue;
+                    }
+                    let mut idx = (lottery % total as u64) as usize;
+                    let s = lives.iter().position(|live| {
+                        let hit = idx < live.proc_count();
+                        if !hit {
+                            idx -= live.proc_count();
+                        }
+                        hit
+                    });
+                    let s = s.expect("the lottery index is below the live total");
+                    let live = &mut lives[s];
+                    let out = live.fail_slot(live.live_slots()[idx]);
+                    report.failures += 1;
+                    report.evicted += out.evicted.len();
+                    let evicted: Vec<String> =
+                        out.evicted.iter().map(|id| format!("t{id}")).collect();
+                    let line = format!(
+                        "{t:.6} s{s} fail p{} remapped={} evicted=[{}] procs={} cost={}",
+                        out.victim.expect("a live slot failed"),
+                        out.remapped.len(),
+                        evicted.join(","),
+                        live.proc_count(),
+                        live.cost()
+                    );
+                    commits.push(commit(live, t, s, seq, line));
+                }
+            }
         }
-        // Hand each worker exclusive access to one (shard, batch, counter)
-        // cell; every cell is locked exactly once, so the mutexes are
-        // uncontended bookkeeping, not synchronization points.
-        let cells: Vec<Mutex<(&mut LivePlatform, &ShardBatch, &mut usize)>> = sharded
-            .shards
-            .iter_mut()
-            .zip(batches.iter())
-            .zip(admitted.iter_mut())
-            .map(|((live, batch), count)| Mutex::new((live, batch, count)))
-            .collect();
-        let this_tick = *tick;
-        let outcomes: Vec<(Vec<ShardMsg>, Vec<f64>)> = run_jobs(n_shards, opts.workers, |s| {
-            let mut cell = cells[s].lock().unwrap();
-            let (live, batch, count) = &mut *cell;
-            replay_batch(s, live, batch, trace.seed, config, count, this_tick)
-        });
-        // Barrier: fold the tick's messages in (time, shard, seq) order —
-        // a pure function of the trace, independent of scheduling.
-        let mut msgs: Vec<ShardMsg> = Vec::new();
-        for (s, (shard_msgs, shard_lat)) in outcomes.into_iter().enumerate() {
-            msgs.extend(shard_msgs);
-            latencies[s].extend(shard_lat);
-        }
-        msgs.sort_by(|a, b| {
+        commits.sort_by(|a, b| {
             a.time
                 .total_cmp(&b.time)
                 .then(a.shard.cmp(&b.shard))
                 .then(a.seq.cmp(&b.seq))
         });
-        for (fold_ix, msg) in msgs.iter().enumerate() {
-            // The fold event's seq is the *global* fold index within the
-            // tick (the per-shard seq is already spent by `msg_send`).
-            trace_det(
-                trace.seed,
-                *tick,
-                msg.shard,
-                fold_ix as u32,
-                snsp_telemetry::trace::TraceEventKind::MsgFold {
-                    msg: msg.kind.label(),
-                },
-            );
-            coord.apply(msg);
+        let mut columns = vec![(0u64, 0usize, 0.0f64, 0.0f64); shards];
+        let mut last_t = 0.0f64;
+        let mut integrate =
+            |columns: &[(u64, usize, f64, f64)], report: &mut TraceReport, to: f64| {
+                let dt = to - last_t;
+                let cost: u64 = columns.iter().map(|c| c.0).sum();
+                let used: f64 = columns.iter().map(|c| c.2).sum();
+                let speed: f64 = columns.iter().map(|c| c.3).sum();
+                report.cost_time_integral += cost as f64 * dt;
+                if speed > 0.0 {
+                    report.mean_utilization += used / speed * dt;
+                }
+                last_t = to;
+            };
+        for c in commits {
+            integrate(&columns, &mut report, c.time);
+            columns[c.shard] = (c.cost, c.procs, c.used, c.speed);
+            let cost: u64 = columns.iter().map(|c| c.0).sum();
+            let procs: usize = columns.iter().map(|c| c.1).sum();
+            report.peak_cost = report.peak_cost.max(cost);
+            report.peak_procs = report.peak_procs.max(procs);
+            report.log.extend(c.lines);
         }
-        for b in batches.iter_mut() {
-            b.events.clear();
-        }
-        snsp_telemetry::trace::record(
-            Class::Det,
-            trace.seed,
-            snsp_telemetry::trace::LogicalTime::tick_end(*tick),
-            snsp_telemetry::trace::TraceEventKind::TickEnd,
-        );
-    };
-
-    for ev in &trace.events {
-        match ev.event {
-            TraceEvent::Arrive { tenant, .. } | TraceEvent::Depart { tenant } => {
-                batches[sharded.route(tenant)].events.push(*ev);
+        let horizon = trace.params.horizon;
+        if config.final_validation {
+            for live in sharded.shards_mut().iter() {
+                let (checks, violations) =
+                    validate_residents(live, config, horizon, &mut report.log);
+                report.slo_checks += checks;
+                report.slo_violations += violations;
             }
-            TraceEvent::ProcessorFail { lottery } => {
-                // Failures need the global live-slot view: drain the tick,
-                // then resolve the lottery at the barrier.
-                flush(
-                    &mut sharded,
-                    &mut batches,
-                    &mut coord,
-                    &mut latencies,
-                    &mut admitted,
-                    &mut tick,
-                );
-                if let Some((s, out)) = sharded.fail(lottery) {
-                    let t = ev.time;
-                    let victim = out.victim.expect("fail_slot always names its victim");
-                    let shard = sharded.shard(s);
-                    let (used, speed) = shard.cpu_load();
-                    let evicted: Vec<String> =
-                        out.evicted.iter().map(|id| format!("t{id}")).collect();
-                    coord.apply(&ShardMsg {
-                        time: t,
-                        shard: s,
-                        seq: 0,
-                        kind: ShardMsgKind::Failed {
-                            remapped: out.remapped.len(),
-                            evicted: out.evicted.len(),
-                        },
-                        cost: shard.cost(),
-                        procs: shard.proc_count(),
-                        used,
-                        speed,
-                        line: format!(
-                            "{t:.6} s{s} fail p{victim} remapped={} evicted=[{}] procs={} cost={}",
-                            out.remapped.len(),
-                            evicted.join(","),
-                            shard.proc_count(),
-                            shard.cost()
-                        ),
-                    });
-                    for (i, &tenant) in out.evicted.iter().enumerate() {
-                        trace_det(
-                            trace.seed,
-                            tick,
-                            s,
-                            i as u32,
-                            snsp_telemetry::trace::TraceEventKind::Evict {
-                                tenant: tenant.0 as u64,
-                            },
+        }
+        integrate(&columns, &mut report, horizon);
+        report.final_cost = sharded.cost();
+        report.mean_utilization /= horizon;
+        (report, sharded)
+    }
+
+    /// The engine against the sequential oracle: 12 seeded traces (with
+    /// failures, with bursts, and rejection-heavy) at 1, 2 and 4 shards,
+    /// each at 1 and 2 replay workers. Every deterministic field of the
+    /// report and the final platform fingerprint must match, the
+    /// integrals bit for bit. None of these traces evicts: without a
+    /// purchase freeze a displaced block re-maps onto a bought machine,
+    /// so eviction folding is pinned by the chaos tests.
+    #[test]
+    fn engine_matches_the_sequential_oracle() {
+        let burst = Burst {
+            period: 8.0,
+            width: 2.0,
+            multiplier: 4.0,
+        };
+        let points = [
+            TraceParams::poisson(0.6, 4.0, 25.0).with_failures(0.12),
+            TraceParams::poisson(0.3, 3.0, 24.0)
+                .with_burst(burst)
+                .with_failures(0.05),
+            TraceParams::poisson(1.0, 4.0, 20.0)
+                .with_tenant_rho(50.0, 1500.0)
+                .with_failures(0.6),
+        ];
+        let (mut rejected, mut failures, mut slo_checks) = (0, 0, 0);
+        for (p, params) in points.iter().enumerate() {
+            for seed in 0..4u64 {
+                let trace = generate_trace(params, 100 * p as u64 + seed);
+                let config = ServeConfig {
+                    spot_admissions: if seed % 2 == 0 { 2 } else { 0 },
+                    ..Default::default()
+                };
+                for shards in [1usize, 2, 4] {
+                    let (want, want_state) = oracle_replay(&trace, &config, shards);
+                    rejected += want.rejected;
+                    failures += want.failures;
+                    slo_checks += want.slo_checks;
+                    for workers in [1usize, 2] {
+                        let opts = ShardOptions { shards, workers };
+                        let (got, state) =
+                            replay_trace_chaos(&trace, &config, &opts, &FaultPlan::default());
+                        let got = got.base;
+                        let at =
+                            format!("point {p} seed {seed}, {shards} shards, {workers} workers");
+                        assert_eq!(got.log, want.log, "{at}");
+                        assert_eq!(got.arrivals, want.arrivals, "{at}");
+                        assert_eq!(got.admitted, want.admitted, "{at}");
+                        assert_eq!(got.rejected, want.rejected, "{at}");
+                        assert_eq!(got.departed, want.departed, "{at}");
+                        assert_eq!(got.evicted, want.evicted, "{at}");
+                        assert_eq!(got.failures, want.failures, "{at}");
+                        assert_eq!(got.slo_checks, want.slo_checks, "{at}");
+                        assert_eq!(got.slo_violations, want.slo_violations, "{at}");
+                        assert_eq!(got.final_cost, want.final_cost, "{at}");
+                        assert_eq!(got.peak_cost, want.peak_cost, "{at}");
+                        assert_eq!(got.peak_procs, want.peak_procs, "{at}");
+                        assert_eq!(
+                            got.cost_time_integral.to_bits(),
+                            want.cost_time_integral.to_bits(),
+                            "{at}"
                         );
-                        coord.apply(&ShardMsg {
-                            time: t,
-                            shard: s,
-                            seq: 1,
-                            kind: ShardMsgKind::Evicted { tenant },
-                            cost: shard.cost(),
-                            procs: shard.proc_count(),
-                            used,
-                            speed,
-                            line: String::new(),
-                        });
+                        assert_eq!(
+                            got.mean_utilization.to_bits(),
+                            want.mean_utilization.to_bits(),
+                            "{at}"
+                        );
+                        assert_eq!(state.fingerprint(), want_state.fingerprint(), "{at}");
                     }
                 }
             }
         }
+        assert!(rejected > 0 && failures > 0 && slo_checks > 0);
     }
-    flush(
-        &mut sharded,
-        &mut batches,
-        &mut coord,
-        &mut latencies,
-        &mut admitted,
-        &mut tick,
-    );
-
-    let horizon = trace.params.horizon;
-    if config.final_validation {
-        for s in 0..n_shards {
-            let mut slo_log = Vec::new();
-            let (checks, violations) =
-                validate_residents(sharded.shard(s), config, horizon, &mut slo_log);
-            coord.report.slo_checks += checks;
-            coord.report.slo_violations += violations;
-            coord.report.log.extend(slo_log);
-        }
-    }
-    coord.advance(horizon);
-
-    for &count in &admitted {
-        SHARD_ADMITTED.record(count as f64);
-    }
-    if snsp_telemetry::enabled() {
-        SERVE_PEAK_RSS.record_max(snsp_telemetry::peak_rss_kb());
-    }
-
-    let mut report = coord.report;
-    report.final_cost = sharded.cost();
-    report.mean_utilization = if horizon > 0.0 {
-        report.mean_utilization / horizon
-    } else {
-        0.0
-    };
-    report.admit_latencies_us = latencies.into_iter().flatten().collect();
-    for &us in &report.admit_latencies_us {
-        SERVE_ADMIT_LATENCY.record(us);
-    }
-    (report, sharded)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use snsp_core::multi::verify_joint;
-    use snsp_gen::{generate_trace, TraceParams};
 
     #[test]
     fn routing_is_stable_and_covers_all_shards() {
@@ -887,17 +925,9 @@ mod tests {
         let params = TraceParams::poisson(0.6, 4.0, 25.0).with_failures(0.1);
         let trace = generate_trace(&params, 11);
         for shards in [1usize, 2, 4] {
-            let base = run_trace_sharded(
-                &trace,
-                &ServeConfig::default(),
-                &ShardOptions { shards, workers: 1 },
-            );
+            let base = replay(&trace, &ServeConfig::default(), shards, 1);
             for workers in [2usize, 4] {
-                let other = run_trace_sharded(
-                    &trace,
-                    &ServeConfig::default(),
-                    &ShardOptions { shards, workers },
-                );
+                let other = replay(&trace, &ServeConfig::default(), shards, workers);
                 assert_eq!(base.log, other.log, "{shards} shards, {workers} workers");
                 assert_eq!(base.log_hash(), other.log_hash());
                 assert_eq!(base.final_cost, other.final_cost);

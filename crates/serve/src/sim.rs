@@ -1,12 +1,13 @@
-//! Trace replay: the discrete-time serving loop.
+//! Trace replay: the serving policy and the single-platform entry point.
 //!
-//! [`run_trace`] walks one [`Trace`] event by event, maintaining a
-//! [`LivePlatform`] and the service metrics between events: the
-//! cost-over-time integral `∫ cost(t) dt` (what the platform actually
-//! costs to keep paid-for across the horizon), time-weighted CPU
-//! utilization, admission/eviction counts, and a human-readable event
-//! log whose lines are a pure function of `(trace, config)` — the
-//! deterministic-replay contract the integration tests pin.
+//! [`run_trace`] replays one [`Trace`] against one [`LivePlatform`] and
+//! reports the service metrics: the cost-over-time integral
+//! `∫ cost(t) dt` (what the platform actually costs to keep paid-for
+//! across the horizon), time-weighted CPU utilization, admission/eviction
+//! counts, and a human-readable event log whose lines are a pure function
+//! of `(trace, config)` — the deterministic-replay contract the
+//! integration tests pin. It is the one replay engine
+//! ([`replay_trace_chaos`]) at one shard under the empty [`FaultPlan`].
 //!
 //! SLO enforcement is analytic at admission time (joint constraints hold
 //! by construction) and *validated* by spot-running the `snsp-engine`
@@ -14,32 +15,14 @@
 //! every `spot_admissions`-th admission, and over all residents at the
 //! end of the trace.
 
-use std::time::Instant;
-
 use snsp_core::heuristics::{Heuristic, PipelineOptions, SubtreeBottomUp};
 use snsp_engine::{meets_slo, SimConfig};
-use snsp_gen::{tenant_instance, trace_environment, Trace, TraceEvent};
-use snsp_sweep::PIPELINE_SEED_STRIDE;
-use snsp_telemetry::{Class, Counter, Gauge, Histogram};
+use snsp_gen::Trace;
 
+use crate::fault::{replay_trace_chaos, FaultPlan};
 use crate::platform::LivePlatform;
 use crate::report::TraceReport;
-
-// Per-event replay counters, shared by the unsharded loop here and the
-// sharded coordinator. Det-class: every count is a pure function of the
-// trace (admission control, departures and failure lotteries are all
-// deterministic), and campaign totals are commutative sums over jobs.
-pub(crate) static SERVE_ADMITTED: Counter = Counter::new("serve.admitted", Class::Det);
-pub(crate) static SERVE_REJECTED: Counter = Counter::new("serve.rejected", Class::Det);
-pub(crate) static SERVE_DEPARTED: Counter = Counter::new("serve.departed", Class::Det);
-pub(crate) static SERVE_EVICTED: Counter = Counter::new("serve.evicted", Class::Det);
-pub(crate) static SERVE_FAILURES: Counter = Counter::new("serve.failures", Class::Det);
-/// Wall-clock admission latency — Overlay by nature.
-pub(crate) static SERVE_ADMIT_LATENCY: Histogram =
-    Histogram::new("serve.admit.latency_us", Class::Overlay);
-/// Peak resident-set size sampled after each replay (`/proc/self/status`
-/// VmHWM) — a process-level, scheduling-dependent gauge.
-pub(crate) static SERVE_PEAK_RSS: Gauge = Gauge::new("serve.peak_rss_kb", Class::Overlay);
+use crate::shard::ShardOptions;
 
 /// Serving-loop policy knobs.
 pub struct ServeConfig {
@@ -49,7 +32,8 @@ pub struct ServeConfig {
     pub opts: PipelineOptions,
     /// SLO bar as a fraction of each tenant's ρ (engine-validated).
     pub slo_frac: f64,
-    /// Spot-run the engine on every n-th admission (0 disables).
+    /// Spot-run the engine on a shard's residents after every n-th
+    /// admission *on that shard* (the count is per shard; 0 disables).
     pub spot_admissions: usize,
     /// Engine-validate every resident tenant at the end of the trace.
     pub final_validation: bool,
@@ -100,125 +84,14 @@ pub(crate) fn validate_residents(
     (checks, violations)
 }
 
-/// Replays one trace and reports the service metrics.
+/// Replays one trace against a single [`LivePlatform`] and reports the
+/// service metrics: [`replay_trace_chaos`] at one shard under the empty
+/// [`FaultPlan`]. Log lines carry the `s0` shard prefix.
 pub fn run_trace(trace: &Trace, config: &ServeConfig) -> TraceReport {
-    let (objects, platform) = trace_environment(&trace.params, trace.seed);
-    let mut live = LivePlatform::new(objects.clone(), platform.clone());
-    let mut report = TraceReport::default();
-    let mut log: Vec<String> = Vec::new();
-
-    let mut last_t = 0.0f64;
-    let mut cost_integral = 0.0f64;
-    let mut util_integral = 0.0f64;
-
-    for ev in &trace.events {
-        // Integrate the piecewise-constant cost and utilization.
-        cost_integral += live.cost() as f64 * (ev.time - last_t);
-        util_integral += live.utilization() * (ev.time - last_t);
-        last_t = ev.time;
-        let t = ev.time;
-
-        match ev.event {
-            TraceEvent::Arrive {
-                tenant,
-                spec,
-                deadline,
-            } => {
-                report.arrivals += 1;
-                let inst = tenant_instance(&objects, &platform, &spec);
-                let seed = trace.seed ^ (tenant.0 as u64 + 1).wrapping_mul(PIPELINE_SEED_STRIDE);
-                let started = Instant::now();
-                match live.admit(tenant, inst, config.heuristic.as_ref(), seed, &config.opts) {
-                    Ok(out) => {
-                        let latency_us = started.elapsed().as_secs_f64() * 1e6;
-                        SERVE_ADMIT_LATENCY.record(latency_us);
-                        report.admit_latencies_us.push(latency_us);
-                        report.admitted += 1;
-                        SERVE_ADMITTED.incr();
-                        log.push(format!(
-                            "{t:.6} admit t{tenant} n={} rho={:.3} until={deadline:.6} \
-                             new={} reuse={} procs={} cost={}",
-                            spec.n_ops,
-                            spec.rho,
-                            out.new_procs,
-                            out.reused_procs,
-                            live.proc_count(),
-                            live.cost()
-                        ));
-                        if config.spot_admissions > 0
-                            && report.admitted % config.spot_admissions == 0
-                        {
-                            let (c, v) = validate_residents(&live, config, t, &mut log);
-                            report.slo_checks += c;
-                            report.slo_violations += v;
-                        }
-                    }
-                    Err(e) => {
-                        report.rejected += 1;
-                        SERVE_REJECTED.incr();
-                        log.push(format!("{t:.6} reject t{tenant} n={} ({e})", spec.n_ops));
-                    }
-                }
-            }
-            TraceEvent::Depart { tenant } => {
-                let mut budget = snsp_search::Budget::new(config.refine_evals);
-                if live.depart_budgeted(tenant, &mut budget) {
-                    report.departed += 1;
-                    SERVE_DEPARTED.incr();
-                    log.push(format!(
-                        "{t:.6} depart t{tenant} procs={} cost={}",
-                        live.proc_count(),
-                        live.cost()
-                    ));
-                }
-            }
-            TraceEvent::ProcessorFail { lottery } => {
-                let out = live.fail(lottery);
-                if let Some(victim) = out.victim {
-                    report.failures += 1;
-                    SERVE_FAILURES.incr();
-                    report.evicted += out.evicted.len();
-                    SERVE_EVICTED.add(out.evicted.len() as u64);
-                    let evicted: Vec<String> =
-                        out.evicted.iter().map(|id| format!("t{id}")).collect();
-                    log.push(format!(
-                        "{t:.6} fail p{victim} remapped={} evicted=[{}] procs={} cost={}",
-                        out.remapped.len(),
-                        evicted.join(","),
-                        live.proc_count(),
-                        live.cost()
-                    ));
-                }
-            }
-        }
-        report.peak_cost = report.peak_cost.max(live.cost());
-        report.peak_procs = report.peak_procs.max(live.proc_count());
-    }
-
-    let horizon = trace.params.horizon;
-    cost_integral += live.cost() as f64 * (horizon - last_t);
-    util_integral += live.utilization() * (horizon - last_t);
-
-    if config.final_validation {
-        let (c, v) = validate_residents(&live, config, horizon, &mut log);
-        report.slo_checks += c;
-        report.slo_violations += v;
-    }
-
-    report.final_cost = live.cost();
-    report.cost_time_integral = cost_integral;
-    report.mean_utilization = if horizon > 0.0 {
-        util_integral / horizon
-    } else {
-        0.0
-    };
-    report.log = log;
-    // Guarded: `peak_rss_kb` reads `/proc` and must stay off the
-    // disabled path (the gauge's own check runs after the argument).
-    if snsp_telemetry::enabled() {
-        SERVE_PEAK_RSS.record_max(snsp_telemetry::peak_rss_kb());
-    }
-    report
+    let opts = ShardOptions::default();
+    replay_trace_chaos(trace, config, &opts, &FaultPlan::default())
+        .0
+        .base
 }
 
 #[cfg(test)]

@@ -26,13 +26,13 @@
 //!   campaigns;
 //! * [`serve`] — online multi-tenant serving: trace-driven
 //!   admission, incremental placement and eviction over one shared
-//!   elastic platform, with a sharded tier that replays tenant
-//!   partitions in parallel under a deterministic message protocol, and
-//!   a fault-injection tier (`serve::fault`) proving the sharded replay
-//!   survives seeded shard crashes (checkpoint/restore recovery),
-//!   message faults, rack bursts and capacity revocation with retry
-//!   readmission and graceful degradation — schema-v6
-//!   `BENCH_chaos.json`;
+//!   elastic platform. One replay engine (`serve::fault`) replays tenant
+//!   shards in parallel under a deterministic message protocol; under
+//!   the empty fault plan it is the plain replay (`run_trace` is its
+//!   one-shard case), and under a seeded plan it proves the replay
+//!   survives shard crashes (checkpoint/restore recovery), message
+//!   faults, rack bursts and capacity revocation with retry readmission
+//!   and graceful degradation — schema-v6 `BENCH_chaos.json`;
 //! * [`telemetry`] — zero-overhead-when-disabled counters, histograms,
 //!   gauges and spans wired through the pool, the exact solver, the
 //!   search drivers and the serve tier, split into a deterministic core
@@ -107,10 +107,10 @@ pub mod prelude {
         RefineCampaign, RefineOutcome, RefinePoint, SearchState,
     };
     pub use snsp_serve::{
-        audit_platform, replay_trace_chaos, replay_trace_sharded, run_chaos_campaign,
-        run_serve_campaign, run_trace, run_trace_chaos, run_trace_sharded, shard_of, ChaosCampaign,
-        ChaosPoint, ChaosReport, DegradePolicy, FaultPlan, FaultSpec, LivePlatform, RetryPolicy,
-        ServeCampaign, ServeConfig, ServePoint, ShardOptions, ShardedPlatform, TraceReport,
+        audit_platform, replay_trace_chaos, run_chaos_campaign, run_serve_campaign, run_trace,
+        run_trace_chaos, shard_of, ChaosCampaign, ChaosPoint, ChaosReport, DegradePolicy,
+        FaultPlan, FaultSpec, LivePlatform, RetryPolicy, ServeCampaign, ServeConfig, ServePoint,
+        ShardOptions, ShardedPlatform, TraceReport,
     };
     pub use snsp_solver::{
         lower_bound, max_throughput_under_budget, solve_exact, BranchBoundConfig,

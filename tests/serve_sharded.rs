@@ -4,10 +4,18 @@
 //! shard count driven with 1 and 4 workers, and every worker count must
 //! produce the identical event log, log fingerprint, metrics, and final
 //! platform fingerprint (per-shard costs, purchased kinds, assignments
-//! and downloads). One shard must additionally reproduce the unsharded
-//! replay exactly, modulo the `s0` log prefix.
+//! and downloads). Every replay runs the one engine under the empty fault
+//! plan; its equivalence with a sequential, tick-free replay is pinned by
+//! the oracle test in `snsp-serve`'s shard module.
 
 use snsp::prelude::*;
+
+fn replay(trace: &Trace, shards: usize, workers: usize) -> (TraceReport, ShardedPlatform) {
+    let opts = ShardOptions { shards, workers };
+    let (report, platform) =
+        replay_trace_chaos(trace, &ServeConfig::default(), &opts, &FaultPlan::default());
+    (report.base, platform)
+}
 
 /// A trace with enough churn to exercise every cross-shard path:
 /// admissions that buy, departures that consolidate, and failures whose
@@ -20,18 +28,10 @@ fn churny_params() -> TraceParams {
 fn sharded_replay_is_identical_at_every_worker_count() {
     let trace = generate_trace(&churny_params(), 21);
     for shards in [1usize, 2, 4] {
-        let (base, base_platform) = replay_trace_sharded(
-            &trace,
-            &ServeConfig::default(),
-            &ShardOptions { shards, workers: 1 },
-        );
+        let (base, base_platform) = replay(&trace, shards, 1);
         assert_eq!(base.admitted + base.rejected, base.arrivals);
         for workers in [2usize, 4] {
-            let (report, platform) = replay_trace_sharded(
-                &trace,
-                &ServeConfig::default(),
-                &ShardOptions { shards, workers },
-            );
+            let (report, platform) = replay(&trace, shards, workers);
             let at = format!("{shards} shards, {workers} workers");
             assert_eq!(base.log, report.log, "{at}: event log diverged");
             assert_eq!(base.log_hash(), report.log_hash(), "{at}");
@@ -53,51 +53,13 @@ fn sharded_replay_is_identical_at_every_worker_count() {
     }
 }
 
-/// One shard is the unsharded platform: same admissions, same packing,
-/// same metrics; log lines differ only by the `s0 ` shard prefix.
-#[test]
-fn one_shard_reproduces_the_unsharded_replay() {
-    let trace = generate_trace(&churny_params(), 33);
-    let unsharded = run_trace(&trace, &ServeConfig::default());
-    let sharded = run_trace_sharded(
-        &trace,
-        &ServeConfig::default(),
-        &ShardOptions {
-            shards: 1,
-            workers: 4,
-        },
-    );
-    assert_eq!(sharded.admitted, unsharded.admitted);
-    assert_eq!(sharded.rejected, unsharded.rejected);
-    assert_eq!(sharded.departed, unsharded.departed);
-    assert_eq!(sharded.evicted, unsharded.evicted);
-    assert_eq!(sharded.failures, unsharded.failures);
-    assert_eq!(sharded.final_cost, unsharded.final_cost);
-    assert_eq!(sharded.peak_cost, unsharded.peak_cost);
-    assert_eq!(sharded.cost_time_integral, unsharded.cost_time_integral);
-    assert_eq!(sharded.mean_utilization, unsharded.mean_utilization);
-    let stripped: Vec<String> = sharded
-        .log
-        .iter()
-        .map(|l| l.replacen(" s0 ", " ", 1))
-        .collect();
-    assert_eq!(stripped, unsharded.log, "logs differ beyond the s0 prefix");
-}
-
 /// Shard snapshots stay jointly feasible through churn: after a full
 /// replay with failures, every shard's compacted snapshot passes the
 /// paper's joint constraint verifier.
 #[test]
 fn final_shard_snapshots_verify_jointly() {
     let trace = generate_trace(&churny_params(), 5);
-    let (report, platform) = replay_trace_sharded(
-        &trace,
-        &ServeConfig::default(),
-        &ShardOptions {
-            shards: 4,
-            workers: 2,
-        },
-    );
+    let (report, platform) = replay(&trace, 4, 2);
     assert!(report.admitted > 0);
     let mut resident = 0;
     for snap in platform.snapshots().into_iter().flatten() {
@@ -109,20 +71,16 @@ fn final_shard_snapshots_verify_jointly() {
     assert_eq!(platform.cost(), report.final_cost);
 }
 
-/// Admission latencies are sampled per successful admission in both the
-/// sharded and unsharded paths (values are wall-clock and unstable, but
-/// the sample *count* is deterministic).
+/// Admission latencies are sampled per successful admission at every
+/// shard count, `run_trace` included (values are wall-clock and
+/// unstable, but the sample *count* is deterministic).
 #[test]
 fn admission_latency_sample_counts_are_deterministic() {
     let trace = generate_trace(&churny_params(), 13);
     let unsharded = run_trace(&trace, &ServeConfig::default());
     assert_eq!(unsharded.admit_latencies_us.len(), unsharded.admitted);
     for shards in [1usize, 2] {
-        let report = run_trace_sharded(
-            &trace,
-            &ServeConfig::default(),
-            &ShardOptions { shards, workers: 2 },
-        );
+        let (report, _) = replay(&trace, shards, 2);
         assert_eq!(report.admit_latencies_us.len(), report.admitted);
         assert!(report.admit_latencies_us.iter().all(|&us| us > 0.0));
     }

@@ -72,6 +72,33 @@ fn det_stream_and_trace_json_are_identical_at_every_worker_count() {
     }
 }
 
+/// Unsharded serve campaigns replay on the same engine, so they reach
+/// the trace layer too: one `admit` event per admission, and a Det
+/// stream that does not move with the campaign worker count.
+#[test]
+fn unsharded_serve_campaign_records_one_admit_per_admission() {
+    // One point: the trace seed is the run discriminator, so every
+    // replay of the campaign is its own run.
+    let campaign = |workers: usize| {
+        let params = TraceParams::poisson(0.8, 5.0, 20.0).with_failures(0.1);
+        let points = vec![ServePoint::new("flaky", params)];
+        ServeCampaign::new("trace-unsharded", points, 3).with_workers(workers)
+    };
+    let (report, base) = capture_trace(|| run_serve_campaign(&campaign(1)));
+    assert_eq!(report.shards, 1);
+    assert_eq!(base.dropped, 0);
+    let admitted: usize = report.points.iter().map(|p| p.admitted).sum();
+    assert!(admitted > 0);
+    let admits = base
+        .det_events()
+        .iter()
+        .filter(|e| matches!(e.kind, trace::TraceEventKind::Admit { .. }))
+        .count();
+    assert_eq!(admits, admitted, "one admit event per admission");
+    let (_, other) = capture_trace(|| run_serve_campaign(&campaign(4)));
+    assert_eq!(base.det_lines(), other.det_lines(), "4 workers diverged");
+}
+
 /// Chaos replay records crash/restore markers once, collapses the
 /// re-replayed duplicates, and stays worker-count-independent.
 #[test]
