@@ -142,8 +142,8 @@ impl Catalog {
         kinds.sort_by(|a, b| {
             a.cost
                 .cmp(&b.cost)
-                .then(a.speed.partial_cmp(&b.speed).unwrap())
-                .then(a.bandwidth.partial_cmp(&b.bandwidth).unwrap())
+                .then(a.speed.total_cmp(&b.speed))
+                .then(a.bandwidth.total_cmp(&b.bandwidth))
         });
         Catalog {
             kinds,

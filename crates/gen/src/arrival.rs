@@ -338,7 +338,7 @@ pub fn generate_trace(params: &TraceParams, seed: u64) -> Trace {
 
     // Stable merge: ties (probability ~0 with continuous clocks) keep
     // generation order, so replays are fully deterministic.
-    events.sort_by(|a, b| a.time.partial_cmp(&b.time).unwrap());
+    events.sort_by(|a, b| a.time.total_cmp(&b.time));
     Trace {
         params: *params,
         seed,

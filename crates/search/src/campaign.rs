@@ -22,10 +22,11 @@ use std::time::Instant;
 
 use snsp_core::heuristics::PipelineOptions;
 use snsp_core::platform::Catalog;
+use snsp_core::pool::run_jobs;
 use snsp_core::refine::RefineOptions;
 use snsp_gen::{generate, ScenarioParams, TreeShape};
 use snsp_solver::{lower_bound, solve_exact, BranchBoundConfig};
-use snsp_sweep::{run_jobs, Json, PhaseTiming, REFINE_SCHEMA_VERSION};
+use snsp_sweep::{Json, PhaseTiming, REFINE_SCHEMA_VERSION};
 
 use crate::drivers::refine_portfolio;
 

@@ -21,8 +21,9 @@
 
 use std::time::Instant;
 
+use snsp_core::pool::run_jobs;
 use snsp_gen::{generate_trace, TraceParams};
-use snsp_sweep::{run_jobs, Json, PhaseTiming};
+use snsp_sweep::{Json, PhaseTiming};
 
 use crate::fault::{run_trace_chaos, FaultPlan};
 use crate::report::{percentile, TraceReport};

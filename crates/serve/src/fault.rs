@@ -63,9 +63,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use snsp_core::ids::TenantId;
+use snsp_core::pool::{run_jobs, run_jobs_checked};
 use snsp_gen::{generate_trace, trace_environment, TenantSpec, Trace, TraceEvent, TraceParams};
-use snsp_sweep::pool::run_jobs_checked;
-use snsp_sweep::{run_jobs, Json, PhaseTiming, PIPELINE_SEED_STRIDE};
+use snsp_sweep::{Json, PhaseTiming, PIPELINE_SEED_STRIDE};
 use snsp_telemetry::{Class, Counter, Gauge, Histogram};
 
 use crate::campaign::{point_config_json, ServePoint};

@@ -18,11 +18,14 @@
 //!   `DownloadLedger`) before any new machine is bought; departures
 //!   reclaim streams and machines and trigger an opportunistic
 //!   re-consolidation + downgrade pass; failures re-map displaced
-//!   operators or evict their tenants.
+//!   operators or evict their tenants. Each slot's residents and joint
+//!   demand are kept in per-slot index and memo entries that one writer
+//!   refreshes, and a CPU-work screen skips re-map and evacuation
+//!   candidates the exact fit test would reject anyway.
 //! * [`replay_trace_chaos`] / [`run_trace_chaos`] — the one replay
 //!   engine. Tenants hash to [`ShardedPlatform`] shards that own disjoint
 //!   processor pools, per-tick batches replay in parallel on
-//!   `snsp-sweep`'s pool, and cross-shard effects travel as shard
+//!   `snsp_core::pool`, and cross-shard effects travel as shard
 //!   messages folded deterministically at tick barriers — same event log
 //!   at any worker count. A [`FaultPlan`] injects crashes, rack failures,
 //!   message faults and revocations; the empty plan
@@ -32,7 +35,7 @@
 //!   utilization, SLO violations spot-validated by running `snsp_engine`
 //!   on per-tenant projections of the platform snapshot.
 //! * [`ServeCampaign`] / [`run_serve_campaign`] — whole trace grids on
-//!   `snsp-sweep`'s pool, with schema-v3 JSON (admission-latency p50/p99
+//!   `snsp_core::pool`, with schema-v3 JSON (admission-latency p50/p99
 //!   columns) whose stable form is byte-identical at any worker count
 //!   ([`validate_serve_report`](snsp_sweep::validate_serve_report)).
 //!

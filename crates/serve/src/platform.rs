@@ -133,6 +133,37 @@ type Residents = BTreeMap<u32, Vec<OpId>>;
 /// The residents of a slot the index has never grown to.
 static NO_RESIDENTS: Residents = BTreeMap::new();
 
+/// One slot's joint demand and the object types its residents stream,
+/// sorted ascending.
+type SlotMemo = (SharedDemand, Vec<TypeId>);
+
+/// The memo of a slot that hosts nothing.
+static NO_MEMO: SlotMemo = (
+    SharedDemand {
+        work: 0.0,
+        download: 0.0,
+        comm: 0.0,
+        max_edge: 0.0,
+    },
+    Vec::new(),
+);
+
+/// The bit patterns of a demand's four fields: the memo and the fit-test
+/// oracles are held to bitwise equality.
+fn demand_bits(d: &SharedDemand) -> [u64; 4] {
+    [
+        d.work.to_bits(),
+        d.download.to_bits(),
+        d.comm.to_bits(),
+        d.max_edge.to_bits(),
+    ]
+}
+
+/// `Σ ρ·w` over `ops` of `inst`: the CPU work a block adds to any slot.
+fn block_work(inst: &Instance, ops: &[OpId]) -> f64 {
+    ops.iter().map(|&op| inst.rho * inst.tree.work(op)).sum()
+}
+
 /// The mutable state of one online serving run.
 #[derive(Debug, Clone)]
 pub struct LivePlatform {
@@ -148,6 +179,15 @@ pub struct LivePlatform {
     /// operators. Written only by [`place_ops`](Self::place_ops);
     /// [`audit`](Self::audit) checks it against a from-scratch walk.
     blocks: Vec<Residents>,
+    /// Demand memo, as long as `blocks`: per slot, the
+    /// [`slot_demand_fresh`](Self::slot_demand_fresh) and
+    /// [`slot_types_fresh`](Self::slot_types_fresh) of its residents. A
+    /// slot's demand depends only on its residents and on whether their
+    /// tree neighbours sit on the same slot, and both change only in
+    /// [`place_ops`](Self::place_ops), which refreshes every slot it
+    /// touches; [`audit`](Self::audit) checks it bitwise against a
+    /// recompute. An empty slot's entry holds no allocation.
+    memo: Vec<SlotMemo>,
     ledger: DownloadLedger,
     /// When set (by a capacity revocation), no new machine may be
     /// bought: admissions and failure re-maps must make do with the
@@ -165,6 +205,7 @@ impl LivePlatform {
             slots: Vec::new(),
             tenants: BTreeMap::new(),
             blocks: Vec::new(),
+            memo: Vec::new(),
             ledger,
             frozen: false,
         }
@@ -294,12 +335,15 @@ impl LivePlatform {
 
     /// Moves operators `ops` of resident tenant `tid` onto slot `to`, or
     /// off the platform when `to` is `None`. The only code that writes
-    /// `Tenant::assignment` or the resident index, so the two stay in
-    /// step.
+    /// `Tenant::assignment`, the resident index or the demand memo, so
+    /// the three stay in step: every slot an operator leaves or joins
+    /// gets its memo entry recomputed.
     fn place_ops(&mut self, tid: u32, ops: &[OpId], to: Option<usize>) {
         let t = self.tenants.get_mut(&tid).expect("placing a resident");
+        let mut touched: Vec<usize> = to.into_iter().collect();
         for &op in ops {
             let from = t.assignment[op.index()].index();
+            touched.push(from);
             if let Some(here) = self.blocks.get_mut(from) {
                 if let Some(list) = here.get_mut(&tid) {
                     if let Ok(i) = list.binary_search(&op) {
@@ -323,6 +367,14 @@ impl LivePlatform {
                 list.insert(i, op);
             }
         }
+        touched.sort_unstable();
+        touched.dedup();
+        self.memo.resize_with(self.blocks.len(), SlotMemo::default);
+        // Unplaced operators come from the `u32::MAX` sentinel, past
+        // every slot.
+        for u in touched.into_iter().take_while(|&u| u < self.blocks.len()) {
+            self.memo[u] = (self.slot_demand_fresh(u), self.slot_types_fresh(u));
+        }
     }
 
     /// Takes tenant `tid` off the platform and returns the slots it
@@ -338,8 +390,20 @@ impl LivePlatform {
         Some(touched)
     }
 
-    /// Object types the residents of slot `u` stream, sorted ascending.
-    fn slot_types(&self, u: usize) -> Vec<TypeId> {
+    /// The memo entry of slot `u`.
+    fn slot_memo(&self, u: usize) -> &SlotMemo {
+        self.memo.get(u).unwrap_or(&NO_MEMO)
+    }
+
+    /// Object types the residents of slot `u` stream, sorted ascending
+    /// (read from the memo).
+    fn slot_types(&self, u: usize) -> &[TypeId] {
+        &self.slot_memo(u).1
+    }
+
+    /// [`slot_types`](Self::slot_types) recomputed from the resident
+    /// index: the memo's writer and its oracle.
+    fn slot_types_fresh(&self, u: usize) -> Vec<TypeId> {
         let mut types: Vec<TypeId> = Vec::new();
         for (tid, ops) in self.residents(u) {
             let t = &self.tenants[tid];
@@ -398,11 +462,20 @@ impl LivePlatform {
         d
     }
 
-    /// Joint demand of everything resident on slot `u`. Test-fitting a
-    /// candidate block on top of this goes through
-    /// [`extend_demand`](Self::extend_demand) with the base computed
-    /// here once per admission.
+    /// Joint demand of everything resident on slot `u`, read from the
+    /// memo that [`place_ops`](Self::place_ops) keeps equal to
+    /// [`slot_demand_fresh`](Self::slot_demand_fresh). Test-fitting a
+    /// candidate block on top of it goes through
+    /// [`extend_demand`](Self::extend_demand) during an admission, and its
+    /// `work` feeds the CPU-work screen ([`screened_out`](Self::screened_out))
+    /// ahead of every evacuation fit test.
     fn slot_demand(&self, u: usize) -> SharedDemand {
+        self.slot_memo(u).0
+    }
+
+    /// Joint demand of everything resident on slot `u`, summed from the
+    /// resident index: the memo's writer and its oracle.
+    fn slot_demand_fresh(&self, u: usize) -> SharedDemand {
         let members: Vec<(&Tenant, &[OpId])> = self
             .residents(u)
             .iter()
@@ -413,6 +486,28 @@ impl LivePlatform {
         shared_demand(&views, |m, op| {
             members[m].0.assignment[op.index()].index() == u
         })
+    }
+
+    /// Whether slot `v` cannot host a candidate block of `block` Gop/s
+    /// of CPU work on top of its residents and the `sent` Gop/s an
+    /// evacuation has already routed to it, by the memo alone. The screen
+    /// in front of every evacuation and re-map fit test: `memo work(v) +
+    /// sent + block` sums the same non-negative terms as the exact
+    /// [`evacuation_demand`](Self::evacuation_demand) work, in another
+    /// order, so the two differ by at most about `n·2⁻⁵³` relative for
+    /// `n` terms. Widening the ceiling by `1e-12` relative covers that
+    /// for any slot of fewer than ~4,500 operators, so a screened-out
+    /// candidate is one whose exact demand [`kind_fitting`](Self::kind_fitting)
+    /// rejects as well.
+    fn screened_out(&self, v: usize, sent: f64, block: f64) -> bool {
+        self.slot_demand(v).work + sent + block > self.work_ceiling()
+    }
+
+    /// The screen's CPU-work ceiling: the most capable kind's speed plus
+    /// the fit tolerance, widened by the `1e-12` relative margin.
+    fn work_ceiling(&self) -> f64 {
+        let top = self.platform.catalog.most_expensive();
+        (self.platform.catalog.kind(top).speed + 1e-9) * (1.0 + 1e-12)
     }
 
     /// The cheapest kind hosting `demand`, or `None` if not even the most
@@ -480,18 +575,6 @@ impl LivePlatform {
         let mut reused: BTreeSet<usize> = BTreeSet::new();
         let mut bought: Vec<usize> = Vec::new();
 
-        // Residents never change during one admission, so each live
-        // slot's joint base demand and type set are computed once here
-        // instead of being re-derived from every tenant on every
-        // group × slot fit test; the per-test cost drops to
-        // O(candidate block + slot types).
-        let empty_base = (SharedDemand::default(), Vec::new());
-        let slot_bases: BTreeMap<usize, (SharedDemand, Vec<TypeId>)> = self
-            .live_slots()
-            .into_iter()
-            .map(|u| (u, (self.slot_demand(u), self.slot_types(u))))
-            .collect();
-
         for group in &placed.groups {
             let in_group: BTreeSet<usize> = group.ops.iter().map(|op| op.index()).collect();
             let mut chosen = None;
@@ -511,9 +594,11 @@ impl LivePlatform {
                         .ops()
                         .filter(|&op| assignment[op.index()].index() == u),
                 );
-                // Slots bought earlier in this admission host only this
+                // Each fit test extends the slot's memo entry, so its cost
+                // is O(candidate block + slot types). Slots bought earlier
+                // in this admission lie past the memo and host only this
                 // tenant's ops (all inside `block`): their base is empty.
-                let (base, base_types) = slot_bases.get(&u).unwrap_or(&empty_base);
+                let (base, base_types) = self.slot_memo(u);
                 let d = self.extend_demand(base, base_types, &inst, &block, on_slot);
                 if let Some(kind) = self.kind_fitting(&d) {
                     // Frozen platforms may not grow capacity, so a fit
@@ -719,7 +804,11 @@ impl LivePlatform {
     fn replace_block(&mut self, tid: u32, ops: &[OpId], dead: usize) -> bool {
         let candidates: Vec<usize> = self.live_slots();
         let no_overlay = BTreeMap::new();
+        let work = block_work(&self.tenants[&tid].inst, ops);
         for u in candidates {
+            if self.screened_out(u, 0.0, work) {
+                continue;
+            }
             // Same member/co-location accounting as an evacuation with an
             // empty overlay: the block lands on `u` by hypothesis, so its
             // edges to the tenant's ops already resident on `u` are free,
@@ -786,7 +875,7 @@ impl LivePlatform {
     /// Drops every download stream on `u` that no resident tenant still
     /// needs.
     fn prune_downloads(&mut self, u: usize) {
-        let needed = self.slot_types(u);
+        let needed = self.slot_types(u).to_vec();
         for d in self.ledger.downloads_of(ProcId::from(u)) {
             if needed.binary_search(&d.ty).is_err() {
                 self.ledger.release(self.objects.rate(d.ty), d.proc, d.ty);
@@ -819,12 +908,15 @@ impl LivePlatform {
         let mut slots = self.slots.clone();
         slots[u] = None;
         // Destination chosen per block; earlier decisions are visible to
-        // later fit tests through the overlay.
+        // later fit tests through the overlay, and to the screen through
+        // the work already sent to each slot.
         let mut overlay: BTreeMap<u32, usize> = BTreeMap::new();
+        let mut arrived = vec![0.0; slots.len()];
         for (tid, ops) in &blocks {
+            let work = block_work(&self.tenants[tid].inst, ops);
             let mut dest = None;
             for (v, slot) in slots.iter().enumerate() {
-                if v == u || slot.is_none() {
+                if v == u || slot.is_none() || self.screened_out(v, arrived[v], work) {
                     continue;
                 }
                 let d = self.evacuation_demand(v, u, &overlay, *tid, ops);
@@ -838,6 +930,7 @@ impl LivePlatform {
             };
             slots[v] = Some(kind);
             overlay.insert(*tid, v);
+            arrived[v] += work;
         }
         // Move the streams: release everything on u, re-source per dest.
         let mut ledger = self.ledger.clone();
@@ -877,6 +970,9 @@ impl LivePlatform {
     /// members and their summation order (ascending tenant id, each
     /// tenant's ops in tree order, the candidate block appended) are
     /// those of a walk over every tenant, so the result is bit-identical.
+    /// The exact fit test: callers first run the admissible CPU-work
+    /// [`screened_out`](Self::screened_out), which skips most candidates
+    /// without this walk.
     fn evacuation_demand(
         &self,
         v: usize,
@@ -982,7 +1078,10 @@ impl LivePlatform {
     ///    [`verify_joint`] (joint CPU /
     ///    NIC / link / server feasibility);
     /// 5. the per-slot resident index equals a from-scratch walk of every
-    ///    tenant's assignment (checked before 3 and 4, which read it).
+    ///    tenant's assignment (checked before 3 and 4, which read it);
+    /// 6. every slot's demand memo equals, bit for bit, the demand and
+    ///    type set recomputed from its residents (checked after 5, whose
+    ///    index the recompute reads, and before 3, which reads the memo).
     ///
     /// The chaos harness runs this after every injected fault
     /// (`audit_platform` extends it with cross-shard checks).
@@ -1018,6 +1117,16 @@ impl LivePlatform {
                 ));
             }
         }
+        for u in 0..self.memo.len().max(self.slots.len()) {
+            let (d, types) = self.slot_memo(u);
+            let (fresh, fresh_types) = (self.slot_demand_fresh(u), self.slot_types_fresh(u));
+            if demand_bits(d) != demand_bits(&fresh) || *types != fresh_types {
+                return Err(format!(
+                    "demand memo of slot {u} is {d:?} over {types:?}, \
+                     but its residents give {fresh:?} over {fresh_types:?}"
+                ));
+            }
+        }
         let mut have: Vec<(usize, TypeId)> = self
             .ledger
             .downloads()
@@ -1033,7 +1142,7 @@ impl LivePlatform {
         }
         let mut need: BTreeSet<(usize, TypeId)> = BTreeSet::new();
         for &u in &self.live_slots() {
-            for ty in self.slot_types(u) {
+            for &ty in self.slot_types(u) {
                 need.insert((u, ty));
             }
         }
@@ -1356,6 +1465,19 @@ mod tests {
             misfiled.audit().is_err(),
             "stray index entry must be caught"
         );
+        // Corrupt the demand memo by one ulp of work.
+        let mut stale = live.clone();
+        let w = &mut stale.memo[u].0.work;
+        *w = f64::from_bits(w.to_bits() + 1);
+        let err = stale.audit().expect_err("memo drift must be caught");
+        assert!(err.contains("demand memo"), "{err}");
+        // Or drop a type from it.
+        let mut forgetful = live.clone();
+        forgetful.memo[u].1.pop();
+        let err = forgetful
+            .audit()
+            .expect_err("memo type drift must be caught");
+        assert!(err.contains("demand memo"), "{err}");
     }
 
     /// The from-scratch slot demand the index-driven
@@ -1435,23 +1557,32 @@ mod tests {
     }
 
     fn assert_bits_eq(got: SharedDemand, want: SharedDemand, what: &str) {
-        let bits = |d: SharedDemand| {
-            [
-                d.work.to_bits(),
-                d.download.to_bits(),
-                d.comm.to_bits(),
-                d.max_edge.to_bits(),
-            ]
-        };
-        assert_eq!(bits(got), bits(want), "{what}: {got:?} vs {want:?}");
+        assert_eq!(
+            demand_bits(&got),
+            demand_bits(&want),
+            "{what}: {got:?} vs {want:?}"
+        );
     }
 
-    /// Index == from-scratch walk, and every fit-test demand the index
-    /// feeds equals its from-scratch oracle bitwise: each live slot's
-    /// demand, and each (evacuated `u`, candidate `v`) pair's demand for
-    /// every block of `u`, under an overlay that has already sent the
-    /// earlier blocks alternately to `v` and elsewhere.
-    fn assert_index_matches_oracle(live: &LivePlatform, ctx: &str) {
+    /// How often the CPU-work screen fired in [`assert_index_matches_oracle`],
+    /// and how many of the exact demands it saw were CPU-overloaded.
+    #[derive(Default)]
+    struct ScreenTally {
+        rejected: usize,
+        overloaded: usize,
+    }
+
+    /// Index == from-scratch walk; the demand memo == its fresh recompute
+    /// for every slot id, tombstones included (and a tombstone's entry
+    /// holds no allocation); and every fit-test demand the index feeds
+    /// equals its from-scratch oracle bitwise: each live slot's demand,
+    /// and each (evacuated `u`, candidate `v`) pair's demand for every
+    /// block of `u`, under an overlay that has already sent the earlier
+    /// blocks alternately to `v` and elsewhere. For each such demand the
+    /// CPU-work screen is sound (it rejects only what `kind_fitting`
+    /// rejects) and tight (it rejects every candidate whose exact work
+    /// clears the ceiling by more than the rounding margin).
+    fn assert_index_matches_oracle(live: &LivePlatform, ctx: &str, tally: &mut ScreenTally) {
         let scratch = live.index_from_scratch();
         for u in 0..scratch.len().max(live.blocks.len()) {
             assert_eq!(
@@ -1460,6 +1591,23 @@ mod tests {
                 "{ctx}: index of slot {u}"
             );
         }
+        for u in 0..live.memo.len().max(live.slots.len()) {
+            let (d, types) = live.slot_memo(u);
+            assert_bits_eq(
+                *d,
+                live.slot_demand_fresh(u),
+                &format!("{ctx}: memo demand of slot {u}"),
+            );
+            assert_eq!(
+                *types,
+                live.slot_types_fresh(u),
+                "{ctx}: memo types of slot {u}"
+            );
+            if live.slots.get(u).is_none_or(|k| k.is_none()) {
+                assert_eq!(types.capacity(), 0, "{ctx}: memo of dead slot {u}");
+            }
+        }
+        let overload = live.work_ceiling() * (1.0 + 1e-12);
         let slots = live.live_slots();
         for &u in &slots {
             assert_bits_eq(
@@ -1470,14 +1618,34 @@ mod tests {
             for &v in slots.iter().filter(|&&v| v != u) {
                 let elsewhere = slots.iter().copied().find(|&w| w != u && w != v);
                 let mut overlay: BTreeMap<u32, usize> = BTreeMap::new();
+                let mut sent = 0.0;
                 for (k, (tid, ops)) in live.blocks_on(u).into_iter().enumerate() {
+                    let what = format!("{ctx}: evacuation_demand(v={v}, u={u}, tenant {tid})");
+                    let exact = live.evacuation_demand(v, u, &overlay, tid, &ops);
                     assert_bits_eq(
-                        live.evacuation_demand(v, u, &overlay, tid, &ops),
+                        exact,
                         evacuation_demand_oracle(live, v, u, &overlay, tid, &ops),
-                        &format!("{ctx}: evacuation_demand(v={v}, u={u}, tenant {tid})"),
+                        &what,
                     );
+                    let work = block_work(&live.tenants[&tid].inst, &ops);
+                    let screened = live.screened_out(v, sent, work);
+                    if screened {
+                        tally.rejected += 1;
+                        assert!(
+                            live.kind_fitting(&exact).is_none(),
+                            "{what}: the screen rejected a fitting candidate"
+                        );
+                    }
+                    if exact.work > overload {
+                        tally.overloaded += 1;
+                        assert!(screened, "{what}: the screen passed a CPU overload");
+                    }
                     let dest = if k % 2 == 0 { Some(v) } else { elsewhere };
-                    overlay.insert(tid, dest.unwrap_or(v));
+                    let dest = dest.unwrap_or(v);
+                    overlay.insert(tid, dest);
+                    if dest == v {
+                        sent += work;
+                    }
                 }
             }
         }
@@ -1486,6 +1654,7 @@ mod tests {
     #[test]
     fn resident_index_matches_the_from_scratch_oracle_under_random_mutations() {
         use rand::Rng;
+        let mut tally = ScreenTally::default();
         for seed in 0..3u64 {
             let mut rng = StdRng::seed_from_u64(0x1DE5 + seed);
             // Tenants and environment of a packing-style trace: 16–30
@@ -1540,10 +1709,32 @@ mod tests {
                     }
                 };
                 let ctx = format!("seed {seed} step {step} ({op})");
-                assert_index_matches_oracle(&live, &ctx);
+                assert_index_matches_oracle(&live, &ctx, &mut tally);
                 live.audit().unwrap_or_else(|e| panic!("{ctx}: {e}"));
             }
         }
+        // Both screen checks must have had something to check.
+        assert!(tally.rejected > 0 && tally.overloaded > 0);
+    }
+
+    /// The screen's margin: a candidate whose summed work overshoots the
+    /// fit ceiling by less than the rounding slack of a reordered sum
+    /// still reaches the exact test; a clear overshoot is screened out.
+    #[test]
+    fn cpu_screen_leaves_a_rounding_margin() {
+        let mut live = environment(12);
+        admit(&mut live, 0, spec(8, 1.0, 220)).expect("tenant fits");
+        let v = live.live_slots()[0];
+        let catalog = &live.platform.catalog;
+        let fit = catalog.kind(catalog.most_expensive()).speed + 1e-9;
+        let base = live.slot_demand(v).work;
+        let block = |overshoot: f64| fit * (1.0 + overshoot) - base;
+        assert!(!live.screened_out(v, 0.0, block(0.0)), "at the ceiling");
+        assert!(
+            !live.screened_out(v, 0.0, block(1e-13)),
+            "inside the margin"
+        );
+        assert!(live.screened_out(v, 0.0, block(1e-11)), "past the margin");
     }
 
     #[test]

@@ -14,10 +14,10 @@ use std::time::Instant;
 
 use snsp_core::heuristics::{all_heuristics, solve_seeded, Heuristic, PipelineOptions};
 use snsp_core::platform::Catalog;
+use snsp_core::pool::run_jobs;
 use snsp_gen::{generate, ScenarioParams, TreeShape};
 use snsp_solver::{solve_exact, BranchBoundConfig};
 
-use crate::pool::run_jobs;
 use crate::sink::{CampaignReport, HeurStats, PhaseTiming, PointReport, ReferenceStats};
 
 /// The multiplier turning a scenario seed into the pipeline RNG seed

@@ -48,15 +48,9 @@ pub mod schema;
 pub mod sink;
 pub mod tracefile;
 
-/// The work-stealing executors (re-exported from [`snsp_core::pool`],
-/// where they moved so that `snsp-solver` — a dependency of this crate —
-/// can run its parallel branch-and-bound on the same pool).
-pub use snsp_core::pool;
-
 pub use campaign::{run_campaign, Campaign, PointSpec, ReferenceConfig, PIPELINE_SEED_STRIDE};
 pub use diff::{diff_reports, DiffEntry, DiffKind, DiffOptions, DiffReport};
 pub use json::Json;
-pub use pool::run_jobs;
 pub use schema::{
     validate_chaos_report, validate_perf_report, validate_refine_report, validate_report,
     validate_serve_report, validate_telemetry_report, validate_trace_report, CHAOS_SCHEMA_VERSION,

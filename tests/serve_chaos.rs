@@ -4,8 +4,9 @@
 //! crash fingerprint-identically to an uninterrupted run at any worker
 //! count, (c) re-admit at least 90% of the tenants displaced by a
 //! capacity revocation once it thaws, (d) draw its fault schedule
-//! independently of the shard count, and (e) keep the platform
-//! invariant audit clean after every fault.
+//! independently of the shard count, (e) keep the platform invariant
+//! audit clean after every fault, and (f) count and re-queue every
+//! tenant a single failure evicts.
 
 use snsp::prelude::*;
 
@@ -196,4 +197,67 @@ fn chaos_campaign_stable_json_is_worker_count_independent_and_certified() {
             "{workers} campaign workers diverged"
         );
     }
+}
+
+/// One trace failure under a purchase freeze evicts several tenants at
+/// once. Every eviction reaches the report — one fold per tenant named in
+/// an `evicted=[…]` log list — and every evicted tenant enters the retry
+/// queue, which drains before the horizon: each evicted tenant's id shows
+/// up again in a later `readmit`, `retry-drop` or `retry-expire` line.
+#[test]
+fn every_eviction_of_one_failure_is_counted_and_queued_for_retry() {
+    let params = TraceParams::poisson(1.2, 50.0, 30.0)
+        .with_tenant_ops(12, 20)
+        .with_tenant_rho(8.0, 16.0)
+        .with_failures(0.4);
+    let trace = generate_trace(&params, 1);
+    let spec = FaultSpec::seeded(21)
+        .with_revocation(8.0, 16.0, 0.3)
+        .with_retry(RetryPolicy::standard())
+        .with_ticks(1.0);
+    let plan = FaultPlan::instantiate(&spec, params.horizon);
+    let opts = ShardOptions {
+        shards: 2,
+        workers: 2,
+    };
+    let (report, state) = replay_trace_chaos(&trace, &ServeConfig::default(), &opts, &plan);
+    let log = &report.base.log;
+    // (log line, evicted tenant ids) per failure that evicted anyone.
+    let evictions: Vec<(usize, Vec<&str>)> = log
+        .iter()
+        .enumerate()
+        .filter_map(|(i, line)| {
+            let list = line.split(" evicted=[").nth(1)?.split(']').next()?;
+            let ids: Vec<&str> = list.split(',').filter(|id| !id.is_empty()).collect();
+            (!ids.is_empty()).then_some((i, ids))
+        })
+        .collect();
+    assert!(
+        evictions.iter().any(|(_, ids)| ids.len() >= 2),
+        "no single failure evicted two tenants: {evictions:?}"
+    );
+    let named: usize = evictions.iter().map(|(_, ids)| ids.len()).sum();
+    assert_eq!(report.base.evicted, named, "every eviction is folded once");
+    assert!(report.stats.retry_enqueued >= named);
+    for (i, ids) in &evictions {
+        for id in ids {
+            let retried = log[i + 1..].iter().any(|line| {
+                let words: Vec<&str> = line.split_whitespace().collect();
+                words.contains(id)
+                    && ["readmit", "retry-drop", "retry-expire"]
+                        .iter()
+                        .any(|verb| words.contains(verb))
+            });
+            assert!(
+                retried,
+                "evicted {id} (log line {i}) never left the retry queue"
+            );
+        }
+    }
+    assert_eq!(
+        report.stats.audit_failures, 0,
+        "{:?}",
+        report.stats.audit_first
+    );
+    audit_platform(&state).expect("final platform passes the invariant audit");
 }
